@@ -13,20 +13,40 @@ thread_local TapeArena* g_current_arena = nullptr;
 }  // namespace
 
 la::Matrix WorkspaceCache::Acquire(size_t rows, size_t cols) {
-  auto it = pool_.find(Key(rows, cols));
-  if (it != pool_.end() && !it->second.empty()) {
-    ++hits_;
-    la::Matrix m = std::move(it->second.back());
-    it->second.pop_back();
-    return m;
+  auto it = pool_.find(cols);
+  if (it == pool_.end() || it->second.empty()) {
+    ++misses_;
+    return la::Matrix(rows, cols);
   }
-  ++misses_;
-  return la::Matrix(rows, cols);
+  std::vector<la::Matrix>& bucket = it->second;
+  const size_t need = la::Matrix::ExtentFor(rows, cols);
+  size_t best = bucket.size();
+  size_t largest = 0;
+  for (size_t i = 0; i < bucket.size(); ++i) {
+    const size_t cap = bucket[i].capacity();
+    if (cap >= need &&
+        (best == bucket.size() || cap < bucket[best].capacity())) {
+      best = i;
+    }
+    if (cap > bucket[largest].capacity()) largest = i;
+  }
+  const bool hit = best < bucket.size();
+  const size_t take = hit ? best : largest;
+  if (take + 1 != bucket.size()) std::swap(bucket[take], bucket.back());
+  la::Matrix m = std::move(bucket.back());
+  bucket.pop_back();
+  if (hit) {
+    ++hits_;
+  } else {
+    ++misses_;
+  }
+  m.ResizeNoZero(rows, cols);
+  return m;
 }
 
 void WorkspaceCache::Release(la::Matrix m) {
   if (m.empty()) return;
-  pool_[Key(m.rows(), m.cols())].push_back(std::move(m));
+  pool_[m.cols()].push_back(std::move(m));
 }
 
 void WorkspaceCache::Trim() { pool_.clear(); }

@@ -11,10 +11,13 @@
 //    value/grad shapes it had before and its buffers (capacity-retaining
 //    ResizeNoZero) are reused with zero allocations.
 //
-//  * WorkspaceCache — a shape-keyed pool of la::Matrix scratch buffers for
-//    backward-pass intermediates (e.g. MatMul's two Gemm outputs). Acquire
-//    pops an exact-shape buffer (hit) or allocates (miss); Release returns
-//    it. With a stable tape shape the hit rate is 100% from step 2 on.
+//  * WorkspaceCache — a capacity-keyed pool of la::Matrix scratch buffers
+//    for backward-pass intermediates (e.g. MatMul's two Gemm outputs).
+//    Acquire pops a pooled buffer of the same column count that can hold
+//    the request (hit) or allocates (miss); Release returns it. Frontier
+//    tensors change row count every step (docs/architecture.md), so a
+//    buffer serves any request up to its capacity: once the pool has seen
+//    the largest frontier, every request hits.
 //
 // Activation is scoped: ops consult TapeArena::Current() (a thread-local
 // set by TapeArena::Scope) and fall back to heap nodes / local scratch
@@ -36,12 +39,14 @@
 
 namespace pup::ag {
 
-/// Shape-keyed pool of scratch matrices for backward intermediates.
+/// Capacity-keyed pool of scratch matrices for backward intermediates.
 class WorkspaceCache {
  public:
-  /// Returns a matrix of exactly rows x cols: a pooled buffer when one of
-  /// that shape is available (hit, no allocation), else a fresh zeroed
-  /// matrix (miss). Contents are unspecified on hits; callers overwrite.
+  /// Returns a rows x cols matrix. A hit reuses the smallest pooled
+  /// buffer of `cols` columns whose capacity holds rows x cols, with no
+  /// allocation. A miss grows the largest pooled buffer of `cols` columns,
+  /// or makes a fresh zeroed one when there is none, so undersized
+  /// buffers do not pile up. Contents are unspecified; callers overwrite.
   la::Matrix Acquire(size_t rows, size_t cols);
 
   /// Returns a buffer to the pool (empty matrices are dropped).
@@ -55,11 +60,8 @@ class WorkspaceCache {
   size_t pooled() const;
 
  private:
-  static uint64_t Key(size_t rows, size_t cols) {
-    return (static_cast<uint64_t>(rows) << 32) | static_cast<uint32_t>(cols);
-  }
-
-  std::unordered_map<uint64_t, std::vector<la::Matrix>> pool_;
+  // Pooled buffers by column count.
+  std::unordered_map<size_t, std::vector<la::Matrix>> pool_;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
 };

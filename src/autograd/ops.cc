@@ -1,5 +1,6 @@
 #include "autograd/ops.h"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -10,6 +11,15 @@
 
 namespace pup::ag {
 namespace {
+
+// Rows per ParallelFor chunk for a row loop of `row_cost` scalar ops:
+// about 2^14 operations a chunk, the la kernels' grain.
+size_t RowGrain(size_t row_cost) {
+  return std::max<size_t>(1, (size_t{1} << 14) / std::max<size_t>(1, row_cost));
+}
+
+// Scalar operations one keyed-hash dropout draw costs, roughly.
+constexpr size_t kDropoutDrawCost = 8;
 
 // Node factory: draws from the active TapeArena when a step scope is open
 // (recycled slot, zero allocations in steady state), else heap-allocates
@@ -130,6 +140,15 @@ void SpmmBackward(Node* self) {
   Scratch gx(x->value.rows(), x->value.cols());
   la::Spmm(*self->csr, self->grad, gx.get());
   Accumulate(x, gx.ref());
+}
+
+// PUP_HOT
+void SpmmRowsBackward(Node* self) {
+  const Tensor& x = self->parents[0];
+  if (!x->requires_grad) return;
+  x->EnsureGrad();
+  la::SpmmRowsTransposedAdd(*self->csr, self->grad, *self->rows,
+                            self->input_rows, &x->grad);
 }
 
 void MatMulBackward(Node* self) {
@@ -487,6 +506,21 @@ Tensor Spmm(const la::CsrMatrix* a, const la::CsrMatrix* a_transposed,
   return node;
 }
 
+// PUP_HOT
+Tensor SpmmRows(const la::CsrMatrix* a, const la::CsrMatrix* a_transposed,
+                const Tensor& x, const la::RowSubset* rows,
+                const la::RowSubset* x_rows) {
+  PUP_CHECK(a != nullptr && a_transposed != nullptr && rows != nullptr);
+  PUP_CHECK_EQ(a->rows(), a_transposed->cols());
+  PUP_CHECK_EQ(a->cols(), a_transposed->rows());
+  Tensor node = NewOpNode("spmm_rows", &SpmmRowsBackward, x);
+  node->csr = a_transposed;
+  node->rows = rows;
+  node->input_rows = x_rows;
+  la::SpmmRows(*a, x->value, x_rows, *rows, &node->value);
+  return node;
+}
+
 Tensor MatMul(const Tensor& a, const Tensor& b) {
   Tensor node = NewOpNode("matmul", &MatMulBackward, a, b);
   la::Gemm(a->value, b->value, &node->value);
@@ -607,22 +641,37 @@ Tensor ConcatRows(const std::vector<Tensor>& parts) {
   return node;
 }
 
-Tensor Dropout(const Tensor& x, float p, Rng* rng, bool training) {
+// PUP_HOT
+Tensor Dropout(const Tensor& x, float p, Rng* rng, bool training,
+               std::span<const uint32_t> row_ids) {
   if (!training || p <= 0.0f) return x;
   PUP_CHECK_MSG(p < 1.0f, "dropout probability must be < 1");
   PUP_CHECK(rng != nullptr);
+  PUP_CHECK(row_ids.empty() || row_ids.size() == x->value.rows());
   Tensor node = NewOpNode("dropout", &DropoutBackward, x);
-  node->aux.ResizeNoZero(x->value.rows(), x->value.cols());
-  float keep_scale = 1.0f / (1.0f - p);
-  // Row-major over the logical elements: the RNG draw sequence is
-  // independent of the padded stride (matrix.h).
-  for (size_t r = 0; r < node->aux.rows(); ++r) {
-    float* row = node->aux.Row(r);
-    for (size_t c = 0; c < node->aux.cols(); ++c) {
-      row[c] = rng->NextBernoulli(p) ? 0.0f : keep_scale;
+  const size_t rows = x->value.rows(), cols = x->value.cols();
+  node->aux.ResizeNoZero(rows, cols);
+  node->value.ResizeNoZero(rows, cols);
+  const uint64_t key = rng->NextU64();
+  const float keep_scale = 1.0f / (1.0f - p);
+  // Entry (id, c) drops iff its 53-bit uniform KeyedHash(key, id·2³² + c)
+  // / 2⁵³ is below p; for an integer u that is u < ceil(p·2⁵³).
+  const uint64_t drop_below =
+      static_cast<uint64_t>(std::ceil(std::ldexp(static_cast<double>(p), 53)));
+  const size_t grain = RowGrain(kDropoutDrawCost * cols);
+  ParallelFor(0, rows, grain, [&](size_t lo, size_t hi) {
+    for (size_t r = lo; r < hi; ++r) {
+      const uint64_t id = row_ids.empty() ? r : row_ids[r];
+      const float* xr = x->value.Row(r);
+      float* mask = node->aux.Row(r);
+      float* out = node->value.Row(r);
+      for (size_t c = 0; c < cols; ++c) {
+        const uint64_t u = KeyedHash(key, (id << 32) | c) >> 11;
+        mask[c] = u < drop_below ? 0.0f : keep_scale;
+        out[c] = xr[c] * mask[c];
+      }
     }
-  }
-  la::Mul(x->value, node->aux, &node->value);
+  });
   return node;
 }
 

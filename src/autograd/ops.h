@@ -11,11 +11,13 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "autograd/tensor.h"
 #include "common/rng.h"
 #include "la/csr.h"
+#include "la/row_subset.h"
 
 namespace pup::ag {
 
@@ -40,6 +42,20 @@ Tensor GatherAdd(const Tensor& table_a, const std::vector<uint32_t>& idx_a,
 /// (grad_x = Aᵀ · grad_out).
 Tensor Spmm(const la::CsrMatrix* a, const la::CsrMatrix* a_transposed,
             const Tensor& x);
+
+/// Row-restricted sparse-dense product over the compact layout of
+/// `rows`: out.Row(k) = (A * X).Row(rows->ids()[k]). X is x itself when
+/// `x_rows` is null, else x is compact over `x_rows` and must hold every
+/// row the selected rows of A reach (la::SpmmRows). Forward rows are
+/// bitwise equal to the matching rows of Spmm(a, a_transposed, X); the
+/// backward sends the gradient through the `rows` columns of Aᵀ only
+/// (la::SpmmRowsTransposedAdd), into x's rows — all of them, or the
+/// members of `x_rows` — bitwise equal to Spmm's backward with a gradient
+/// that is zero outside `rows`. `a`, `a_transposed` and both subsets are
+/// borrowed and must outlive the computation graph.
+Tensor SpmmRows(const la::CsrMatrix* a, const la::CsrMatrix* a_transposed,
+                const Tensor& x, const la::RowSubset* rows,
+                const la::RowSubset* x_rows = nullptr);
 
 /// Dense product out = a * b.
 Tensor MatMul(const Tensor& a, const Tensor& b);
@@ -82,7 +98,16 @@ Tensor ConcatRows(const std::vector<Tensor>& parts);
 
 /// Inverted dropout: at train time zeroes entries with probability p and
 /// scales survivors by 1/(1-p); identity when !training or p == 0.
-Tensor Dropout(const Tensor& x, float p, Rng* rng, bool training);
+///
+/// The mask is counter-based: each call draws one 64-bit key from `rng`,
+/// and entry (r, c) drops by KeyedHash(key, id·2³² + c), where id is
+/// row_ids[r] (or r when row_ids is empty). A row's mask thus depends
+/// only on the key and its id — not on which other rows are present, the
+/// thread count, or the order rows are visited — so a compact tensor over
+/// a frontier of node ids draws exactly the mask those nodes' rows get in
+/// the full table.
+Tensor Dropout(const Tensor& x, float p, Rng* rng, bool training,
+               std::span<const uint32_t> row_ids = {});
 
 /// Mean of all entries -> (1, 1) scalar.
 Tensor Mean(const Tensor& x);

@@ -1,10 +1,26 @@
 #include "autograd/optimizer.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.h"
+#include "common/thread_pool.h"
 
 namespace pup::ag {
+namespace {
+
+// Scalar operations per ParallelFor chunk of an update (the la kernels'
+// grain) and, roughly, per element of an Adam / SGD update.
+constexpr size_t kMinWorkPerChunk = size_t{1} << 14;
+constexpr size_t kAdamOpsPerElement = 12;
+constexpr size_t kSgdOpsPerElement = 4;
+
+size_t RowGrain(size_t cols, size_t ops_per_element) {
+  return std::max<size_t>(
+      1, kMinWorkPerChunk / std::max<size_t>(1, cols * ops_per_element));
+}
+
+}  // namespace
 
 Optimizer::Optimizer(std::vector<Tensor> params)
     : params_(std::move(params)) {
@@ -46,16 +62,23 @@ Sgd::Sgd(std::vector<Tensor> params, float lr, float weight_decay)
 
 // PUP_HOT
 void Sgd::Step() {
+  // Row-parallel: every element updates independently, so the result is
+  // bitwise the same at any thread count.
+  const float wd = weight_decay_, lr = learning_rate_;
   for (const Tensor& p : params_) {
     if (!p->grad_live()) continue;  // Never touched this step.
-    for (size_t r = 0; r < p->value.rows(); ++r) {
-      float* value = p->value.Row(r);
-      const float* grad = p->grad.Row(r);
-      for (size_t c = 0; c < p->value.cols(); ++c) {
-        float g = grad[c] + weight_decay_ * value[c];
-        value[c] -= learning_rate_ * g;
-      }
-    }
+    const size_t cols = p->value.cols();
+    ParallelFor(0, p->value.rows(), RowGrain(cols, kSgdOpsPerElement),
+                [&, wd, lr](size_t lo, size_t hi) {
+                  for (size_t r = lo; r < hi; ++r) {
+                    float* value = p->value.Row(r);
+                    const float* grad = p->grad.Row(r);
+                    for (size_t c = 0; c < cols; ++c) {
+                      float g = grad[c] + wd * value[c];
+                      value[c] -= lr * g;
+                    }
+                  }
+                });
   }
 }
 
@@ -118,24 +141,36 @@ void Adam::Step() {
       1.0f - std::pow(b1, static_cast<float>(t_));
   const float bias2 =
       1.0f - std::pow(b2, static_cast<float>(t_));
+  const float wd = options_.weight_decay, lr = learning_rate_,
+              eps = options_.epsilon;
+  // Row-parallel: every element's update reads and writes only its own
+  // value, gradient and moments, so the result is bitwise the same at any
+  // thread count. The scalars are captured by value so the compiler can
+  // vectorize the column loop (see CMakeLists.txt).
   for (size_t k = 0; k < params_.size(); ++k) {
     const Tensor& p = params_[k];
     if (!p->grad_live()) continue;  // Never touched this step.
-    for (size_t r = 0; r < p->value.rows(); ++r) {
-      float* value = p->value.Row(r);
-      const float* grad = p->grad.Row(r);
-      float* m = m_[k].Row(r);
-      float* v = v_[k].Row(r);
-      for (size_t c = 0; c < p->value.cols(); ++c) {
-        float g = grad[c] + options_.weight_decay * value[c];
-        m[c] = b1 * m[c] + (1.0f - b1) * g;
-        v[c] = b2 * v[c] + (1.0f - b2) * g * g;
-        float m_hat = m[c] / bias1;
-        float v_hat = v[c] / bias2;
-        value[c] -=
-            learning_rate_ * m_hat / (std::sqrt(v_hat) + options_.epsilon);
-      }
-    }
+    const size_t cols = p->value.cols();
+    la::Matrix& mk = m_[k];
+    la::Matrix& vk = v_[k];
+    ParallelFor(
+        0, p->value.rows(), RowGrain(cols, kAdamOpsPerElement),
+        [&, b1, b2, bias1, bias2, wd, lr, eps](size_t lo, size_t hi) {
+          for (size_t r = lo; r < hi; ++r) {
+            float* value = p->value.Row(r);
+            const float* grad = p->grad.Row(r);
+            float* m = mk.Row(r);
+            float* v = vk.Row(r);
+            for (size_t c = 0; c < cols; ++c) {
+              float g = grad[c] + wd * value[c];
+              m[c] = b1 * m[c] + (1.0f - b1) * g;
+              v[c] = b2 * v[c] + (1.0f - b2) * g * g;
+              float m_hat = m[c] / bias1;
+              float v_hat = v[c] / bias2;
+              value[c] -= lr * m_hat / (std::sqrt(v_hat) + eps);
+            }
+          }
+        });
   }
 }
 

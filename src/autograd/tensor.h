@@ -21,6 +21,7 @@
 
 namespace pup::la {
 class CsrMatrix;
+class RowSubset;
 }  // namespace pup::la
 
 namespace pup::ag {
@@ -70,6 +71,10 @@ class Node {
   float alpha = 0.0f;
   /// Borrowed sparse operand (Spmm backward); owned by the model.
   const la::CsrMatrix* csr = nullptr;
+  /// Borrowed row subsets (SpmmRows backward): the output's rows and,
+  /// for a compact input, the input's rows; owned by the model.
+  const la::RowSubset* rows = nullptr;
+  const la::RowSubset* input_rows = nullptr;
 
   /// True while `grad` holds this step's accumulated gradient. The flag —
   /// not the grad's shape — is the source of truth: recycled nodes can
@@ -107,6 +112,8 @@ class Node {
     grad_live_ = false;
     alpha = 0.0f;
     csr = nullptr;
+    rows = nullptr;
+    input_rows = nullptr;
   }
 
   /// Visited mark for the allocation-free tape walk (tensor.cc). Internal;

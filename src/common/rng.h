@@ -183,6 +183,19 @@ class Rng {
   double cached_gaussian_ = 0.0;
 };
 
+/// Counter-based hash: the value a SplitMix64 stream seeded with `key`
+/// yields at position `counter` (a golden-ratio step per position, then
+/// the SplitMix64 finalizer). Stateless, so every element of a keyed
+/// stream can be computed on its own — in parallel, in any order, for any
+/// subset of positions — and still agree bitwise with every other
+/// evaluation. ag::Dropout derives its masks from it.
+inline uint64_t KeyedHash(uint64_t key, uint64_t counter) {
+  uint64_t z = key + (counter + 1) * 0x9e3779b97f4a7c15ULL;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
 /// Zipf-like rank weights: weight(rank) = 1 / (rank + 1)^alpha.
 /// Returns `n` unnormalized weights, heaviest first.
 std::vector<double> ZipfWeights(size_t n, double alpha);

@@ -5,6 +5,7 @@
 #include "autograd/ops.h"
 #include "common/check.h"
 #include "la/kernels.h"
+#include "obs/registry.h"
 
 namespace pup::core {
 
@@ -104,6 +105,11 @@ void Pup::Fit(const data::Dataset& dataset,
         graph_->num_nodes(), category_.dim, config_.init_stddev, &rng));
   }
 
+  const size_t num_layers = static_cast<size_t>(config_.num_layers);
+  batch_frontier_.layers.assign(num_layers, la::RowSubset(graph_->num_nodes()));
+  batch_frontier_.decode_pos.assign(num_layers, {});
+  all_rows_.layers.assign(num_layers, la::RowSubset::All(graph_->num_nodes()));
+
   dataset_ = &dataset;
   train::TrainBpr(this, dataset, train, config_.train);
 
@@ -111,12 +117,14 @@ void Pup::Fit(const data::Dataset& dataset,
   //   s(u,i) = f_uᵍ·(f_iᵍ + f_pᵍ) + f_iᵍ·f_pᵍ
   //          + α [ f_uᶜ·(f_cᶜ + f_pᶜ) + f_cᶜ·f_pᶜ ]
   // (branch superscripts: each branch has independent embeddings).
-  ag::Tensor fg = Propagate(global_, /*training=*/false);
+  // Over all rows, a compact propagation is the full table: row k is
+  // node k.
+  ag::Tensor fg = Propagate(global_, all_rows_, /*dropout_rng=*/nullptr);
   const la::Matrix& g = fg->value;
   const bool two = config_.two_branch;
   la::Matrix fc_matrix;
   if (two) {
-    fc_matrix = Propagate(category_, /*training=*/false)->value;
+    fc_matrix = Propagate(category_, all_rows_, nullptr)->value;
   }
   const size_t d_total = global_.dim + (two ? category_.dim : 0);
   la::Matrix user_vecs(dataset.num_users, d_total);
@@ -171,49 +179,129 @@ void Pup::Fit(const data::Dataset& dataset,
   dataset_ = nullptr;
 }
 
-ag::Tensor Pup::Propagate(const Branch& branch, bool training) {
-  std::vector<ag::Tensor> layers;
+void Pup::BatchRows::Resize(size_t b) {
+  // NOLINTNEXTLINE(pup-hot-transitive): member scratch sized to the batch; capacity is retained across steps.
+  user.resize(b);
+  pos.resize(b);        // NOLINT(pup-hot-transitive): see above.
+  neg.resize(b);        // NOLINT(pup-hot-transitive): see above.
+  pos_cat.resize(b);    // NOLINT(pup-hot-transitive): see above.
+  neg_cat.resize(b);    // NOLINT(pup-hot-transitive): see above.
+  pos_price.resize(b);  // NOLINT(pup-hot-transitive): see above.
+  neg_price.resize(b);  // NOLINT(pup-hot-transitive): see above.
+}
+
+void Pup::BuildBatchFrontier() {
+  std::vector<la::RowSubset>& layers = batch_frontier_.layers;
+  la::RowSubset& top = layers.back();
+  const size_t b = nodes_.user.size();
+  const bool cats = DecodesCategories();
+  top.Clear();
+  for (size_t k = 0; k < b; ++k) {
+    top.Insert(nodes_.user[k]);
+    top.Insert(nodes_.pos[k]);
+    top.Insert(nodes_.neg[k]);
+    if (cats) {
+      top.Insert(nodes_.pos_cat[k]);
+      top.Insert(nodes_.neg_cat[k]);
+    }
+    if (config_.use_price) {
+      top.Insert(nodes_.pos_price[k]);
+      top.Insert(nodes_.neg_price[k]);
+    }
+  }
+  top.Seal();
+  // One hop per earlier layer: layer l must hold every row layer l+1
+  // reads, and under kMean the frontier rows it contributes to the mean.
+  const bool mean = config_.layer_combine == PupConfig::LayerCombine::kMean;
+  for (size_t l = layers.size() - 1; l-- > 0;) {
+    la::RowSubset& s = layers[l];
+    s.Clear();
+    s.InsertNeighbors(graph_->adjacency(), layers[l + 1]);
+    if (mean) {
+      for (uint32_t id : top.ids()) s.Insert(id);
+    }
+    s.Seal();
+    if (mean) {
+      std::vector<uint32_t>& at = batch_frontier_.decode_pos[l];
+      // NOLINTNEXTLINE(pup-hot-transitive): capacity retained across steps.
+      at.resize(top.size());
+      for (size_t k = 0; k < top.size(); ++k) {
+        at[k] = s.Position(top.ids()[k]);
+      }
+    }
+  }
+
+  const auto to_rows = [&](const std::vector<uint32_t>& ids,
+                           std::vector<uint32_t>* out) {
+    for (size_t k = 0; k < b; ++k) (*out)[k] = top.Position(ids[k]);
+  };
+  to_rows(nodes_.user, &rows_.user);
+  to_rows(nodes_.pos, &rows_.pos);
+  to_rows(nodes_.neg, &rows_.neg);
+  if (cats) {
+    to_rows(nodes_.pos_cat, &rows_.pos_cat);
+    to_rows(nodes_.neg_cat, &rows_.neg_cat);
+  }
+  if (config_.use_price) {
+    to_rows(nodes_.pos_price, &rows_.pos_price);
+    to_rows(nodes_.neg_price, &rows_.neg_price);
+  }
+}
+
+ag::Tensor Pup::Propagate(const Branch& branch, const Frontier& frontier,
+                          Rng* dropout_rng) const {
+  const std::vector<la::RowSubset>& layers = frontier.layers;
+  const la::RowSubset& top = layers.back();
+  const bool mean = config_.layer_combine == PupConfig::LayerCombine::kMean &&
+                    layers.size() > 1;
   ag::Tensor f = branch.emb;
-  for (int l = 0; l < config_.num_layers; ++l) {
-    f = ag::Tanh(ag::Spmm(&graph_->adjacency(),
-                          &graph_->adjacency_transposed(), f));
-    layers.push_back(f);  // NOLINT(pup-hot-transitive): bounded by num_layers.
+  ag::Tensor sum;
+  const la::RowSubset* input_rows = nullptr;  // Layer 0 reads the table.
+  for (size_t l = 0; l < layers.size(); ++l) {
+    f = ag::Tanh(ag::SpmmRows(&graph_->adjacency(),
+                              &graph_->adjacency_transposed(), f, &layers[l],
+                              input_rows));
+    input_rows = &layers[l];
+    if (mean) {
+      // Layer l at the frontier rows; a layer of the frontier's size
+      // holds exactly those rows, in order.
+      ag::Tensor at_top = layers[l].size() == top.size()
+                              ? f
+                              : ag::Gather(f, frontier.decode_pos[l]);
+      sum = sum == nullptr ? at_top : ag::Add(sum, at_top);
+    }
   }
-  ag::Tensor out = layers.back();
-  if (config_.layer_combine == PupConfig::LayerCombine::kMean &&
-      layers.size() > 1) {
-    out = layers[0];
-    for (size_t l = 1; l < layers.size(); ++l) out = ag::Add(out, layers[l]);
-    out = ag::Scale(out, 1.0f / static_cast<float>(layers.size()));
-  }
-  return ag::Dropout(out, config_.dropout, &dropout_rng_, training);
+  ag::Tensor out = f;
+  if (mean) out = ag::Scale(sum, 1.0f / static_cast<float>(layers.size()));
+  return ag::Dropout(out, config_.dropout, dropout_rng,
+                     /*training=*/dropout_rng != nullptr, top.ids());
 }
 
 ag::Tensor Pup::DecodeGlobal(const ag::Tensor& f,
-                             const std::vector<uint32_t>& user_nodes,
-                             const std::vector<uint32_t>& item_nodes,
-                             const std::vector<uint32_t>& cat_nodes,
-                             const std::vector<uint32_t>& price_nodes) {
-  ag::Tensor fu = ag::Gather(f, user_nodes);
-  ag::Tensor fi = ag::Gather(f, item_nodes);
+                             const std::vector<uint32_t>& user_rows,
+                             const std::vector<uint32_t>& item_rows,
+                             const std::vector<uint32_t>& cat_rows,
+                             const std::vector<uint32_t>& price_rows) {
+  ag::Tensor fu = ag::Gather(f, user_rows);
+  ag::Tensor fi = ag::Gather(f, item_rows);
   ag::Tensor s = ag::RowDot(fu, fi);
   if (config_.use_price) {
-    ag::Tensor fp = ag::Gather(f, price_nodes);
+    ag::Tensor fp = ag::Gather(f, price_rows);
     s = ag::Add(s, ag::Add(ag::RowDot(fu, fp), ag::RowDot(fi, fp)));
   } else if (config_.use_category && !config_.two_branch) {
-    ag::Tensor fc = ag::Gather(f, cat_nodes);
+    ag::Tensor fc = ag::Gather(f, cat_rows);
     s = ag::Add(s, ag::Add(ag::RowDot(fu, fc), ag::RowDot(fi, fc)));
   }
   return s;
 }
 
 ag::Tensor Pup::DecodeCategory(const ag::Tensor& f,
-                               const std::vector<uint32_t>& user_nodes,
-                               const std::vector<uint32_t>& cat_nodes,
-                               const std::vector<uint32_t>& price_nodes) {
-  ag::Tensor fu = ag::Gather(f, user_nodes);
-  ag::Tensor fc = ag::Gather(f, cat_nodes);
-  ag::Tensor fp = ag::Gather(f, price_nodes);
+                               const std::vector<uint32_t>& user_rows,
+                               const std::vector<uint32_t>& cat_rows,
+                               const std::vector<uint32_t>& price_rows) {
+  ag::Tensor fu = ag::Gather(f, user_rows);
+  ag::Tensor fc = ag::Gather(f, cat_rows);
+  ag::Tensor fp = ag::Gather(f, price_rows);
   return ag::Add(ag::RowDot(fu, fc),
                  ag::Add(ag::RowDot(fu, fp), ag::RowDot(fc, fp)));
 }
@@ -233,57 +321,67 @@ train::BprTrainable::BatchGraph Pup::ForwardBatch(
     const std::vector<uint32_t>& neg_items, bool training) {
   PUP_CHECK(dataset_ != nullptr);
   const size_t b = users.size();
-  // NOLINTNEXTLINE(pup-hot-transitive): member scratch sized to the batch; capacity is retained across steps.
-  user_nodes_.resize(b);
-  pos_nodes_.resize(b);  // NOLINT(pup-hot-transitive): see above.
-  neg_nodes_.resize(b);  // NOLINT(pup-hot-transitive): see above.
-  pos_cats_.resize(b);  // NOLINT(pup-hot-transitive): see above.
-  neg_cats_.resize(b);  // NOLINT(pup-hot-transitive): see above.
-  pos_prices_.resize(b);  // NOLINT(pup-hot-transitive): see above.
-  neg_prices_.resize(b);  // NOLINT(pup-hot-transitive): see above.
+  nodes_.Resize(b);
+  rows_.Resize(b);
   for (size_t k = 0; k < b; ++k) {
-    user_nodes_[k] = graph_->UserNode(users[k]);
-    pos_nodes_[k] = graph_->ItemNode(pos_items[k]);
-    neg_nodes_[k] = graph_->ItemNode(neg_items[k]);
+    nodes_.user[k] = graph_->UserNode(users[k]);
+    nodes_.pos[k] = graph_->ItemNode(pos_items[k]);
+    nodes_.neg[k] = graph_->ItemNode(neg_items[k]);
     if (config_.use_category) {
-      pos_cats_[k] =
+      nodes_.pos_cat[k] =
           graph_->CategoryNode(dataset_->item_category[pos_items[k]]);
-      neg_cats_[k] =
+      nodes_.neg_cat[k] =
           graph_->CategoryNode(dataset_->item_category[neg_items[k]]);
     }
     if (config_.use_price) {
-      pos_prices_[k] =
+      nodes_.pos_price[k] =
           graph_->PriceNode(dataset_->item_price_level[pos_items[k]]);
-      neg_prices_[k] =
+      nodes_.neg_price[k] =
           graph_->PriceNode(dataset_->item_price_level[neg_items[k]]);
     }
   }
+  BuildBatchFrontier();
+  if (training) {
+    // Deterministic work counters: rows one branch propagates this step
+    // and the adjacency entries its Spmm multiplies, forward plus
+    // backward (the backward reaches the same entries through Aᵀ).
+    uint64_t rows = 0, nnz = 0;
+    for (const la::RowSubset& layer : batch_frontier_.layers) {
+      rows += layer.size();
+      for (uint32_t id : layer.ids()) nnz += graph_->adjacency().RowNnz(id);
+    }
+    PUP_OBS_COUNT("train/propagated_rows", rows);
+    PUP_OBS_COUNT("train/spmm_nnz", 2 * nnz);
+  }
 
-  ag::Tensor fg = Propagate(global_, training);
-  ag::Tensor pos = DecodeGlobal(fg, user_nodes_, pos_nodes_, pos_cats_,
-                                pos_prices_);
-  ag::Tensor neg = DecodeGlobal(fg, user_nodes_, neg_nodes_, neg_cats_,
-                                neg_prices_);
+  Rng* rng = training ? &dropout_rng_ : nullptr;
+  ag::Tensor fg = Propagate(global_, batch_frontier_, rng);
+  ag::Tensor pos = DecodeGlobal(fg, rows_.user, rows_.pos, rows_.pos_cat,
+                                rows_.pos_price);
+  ag::Tensor neg = DecodeGlobal(fg, rows_.user, rows_.neg, rows_.neg_cat,
+                                rows_.neg_price);
   if (config_.two_branch) {
-    ag::Tensor fc = Propagate(category_, training);
-    pos = ag::Add(pos, ag::Scale(DecodeCategory(fc, user_nodes_, pos_cats_,
-                                                pos_prices_),
+    ag::Tensor fc = Propagate(category_, batch_frontier_, rng);
+    pos = ag::Add(pos, ag::Scale(DecodeCategory(fc, rows_.user,
+                                                rows_.pos_cat,
+                                                rows_.pos_price),
                                  config_.alpha));
-    neg = ag::Add(neg, ag::Scale(DecodeCategory(fc, user_nodes_, neg_cats_,
-                                                neg_prices_),
+    neg = ag::Add(neg, ag::Scale(DecodeCategory(fc, rows_.user,
+                                                rows_.neg_cat,
+                                                rows_.neg_price),
                                  config_.alpha));
   }
 
   BatchGraph batch;
   batch.pos_scores = pos;
   batch.neg_scores = neg;
-  batch.l2_terms = {ag::Gather(global_.emb, user_nodes_),
-                    ag::Gather(global_.emb, pos_nodes_),
-                    ag::Gather(global_.emb, neg_nodes_)};
+  batch.l2_terms = {ag::Gather(global_.emb, nodes_.user),
+                    ag::Gather(global_.emb, nodes_.pos),
+                    ag::Gather(global_.emb, nodes_.neg)};
   if (config_.two_branch) {
-    batch.l2_terms.push_back(ag::Gather(category_.emb, user_nodes_));  // NOLINT(pup-hot-transitive): <= #fields terms.
-    batch.l2_terms.push_back(ag::Gather(category_.emb, pos_cats_));  // NOLINT(pup-hot-transitive): <= #fields terms.
-    batch.l2_terms.push_back(ag::Gather(category_.emb, pos_prices_));  // NOLINT(pup-hot-transitive): <= #fields terms.
+    batch.l2_terms.push_back(ag::Gather(category_.emb, nodes_.user));  // NOLINT(pup-hot-transitive): <= #fields terms.
+    batch.l2_terms.push_back(ag::Gather(category_.emb, nodes_.pos_cat));  // NOLINT(pup-hot-transitive): <= #fields terms.
+    batch.l2_terms.push_back(ag::Gather(category_.emb, nodes_.pos_price));  // NOLINT(pup-hot-transitive): <= #fields terms.
   }
   return batch;
 }
@@ -319,12 +417,8 @@ Status Pup::LoadState(const ckpt::Reader& reader) {
 
 la::Matrix Pup::GlobalPriceEmbeddings() const {
   if (!config_.use_price || graph_ == nullptr) return {};
-  // Recompute a clean single propagation of the global branch (analysis
-  // helper; uses one layer regardless of num_layers).
-  la::Matrix conv;
-  la::Spmm(graph_->adjacency(), global_.emb->value, &conv);
-  la::Matrix propagated;
-  la::Tanh(conv, &propagated);
+  const la::Matrix propagated =
+      Propagate(global_, all_rows_, /*dropout_rng=*/nullptr)->value;
   la::Matrix out(graph_->num_price_levels(), global_.dim);
   for (uint32_t p = 0; p < graph_->num_price_levels(); ++p) {
     const float* src = propagated.Row(graph_->PriceNode(p));

@@ -23,6 +23,7 @@
 #include "autograd/tensor.h"
 #include "ckpt/checkpointable.h"
 #include "graph/hetero_graph.h"
+#include "la/row_subset.h"
 #include "models/recommender.h"
 #include "models/scoring.h"
 #include "train/trainer.h"
@@ -118,21 +119,53 @@ class Pup : public models::Recommender,
     size_t dim = 0;
   };
 
-  /// Propagated representations tanh(Â E) for one branch.
-  ag::Tensor Propagate(const Branch& branch, bool training);
+  /// Node rows one propagation computes. layers[l] holds the rows layer l
+  /// outputs; layers.back() is the frontier the decoders read, and each
+  /// earlier layer adds the one-hop neighborhood of the next (plus, under
+  /// kMean, the frontier itself). Under kMean, decode_pos[l] lists where
+  /// the frontier's rows sit in layers[l] whenever layers[l] is larger.
+  struct Frontier {
+    std::vector<la::RowSubset> layers;
+    std::vector<std::vector<uint32_t>> decode_pos;
+  };
+
+  /// Per-batch row lists, reused across steps (Resize keeps capacity;
+  /// lists of disabled node types are never read).
+  struct BatchRows {
+    std::vector<uint32_t> user, pos, neg, pos_cat, neg_cat, pos_price,
+        neg_price;
+    void Resize(size_t b);
+  };
+
+  /// Rebuilds batch_frontier_ from nodes_ and fills rows_ with the
+  /// nodes' positions in the frontier.
+  void BuildBatchFrontier();
+
+  /// Propagated representations tanh(Â E) of one branch at the frontier
+  /// rows of `frontier`, as a compact tensor (row k = node
+  /// frontier.layers.back().ids()[k]); with dropout, keyed by node id,
+  /// when `dropout_rng` is non-null. Training steps pass the batch
+  /// frontier; export and analysis pass all_rows_.
+  ag::Tensor Propagate(const Branch& branch, const Frontier& frontier,
+                       Rng* dropout_rng) const;
 
   /// Decoder for one branch over gathered rows (B, dim).
   /// Global branch: u·i + u·p + i·p (degenerating gracefully when price or
   /// category nodes are disabled); category branch: u·c + u·p + c·p.
   ag::Tensor DecodeGlobal(const ag::Tensor& f,
-                          const std::vector<uint32_t>& user_nodes,
-                          const std::vector<uint32_t>& item_nodes,
-                          const std::vector<uint32_t>& cat_nodes,
-                          const std::vector<uint32_t>& price_nodes);
+                          const std::vector<uint32_t>& user_rows,
+                          const std::vector<uint32_t>& item_rows,
+                          const std::vector<uint32_t>& cat_rows,
+                          const std::vector<uint32_t>& price_rows);
   ag::Tensor DecodeCategory(const ag::Tensor& f,
-                            const std::vector<uint32_t>& user_nodes,
-                            const std::vector<uint32_t>& cat_nodes,
-                            const std::vector<uint32_t>& price_nodes);
+                            const std::vector<uint32_t>& user_rows,
+                            const std::vector<uint32_t>& cat_rows,
+                            const std::vector<uint32_t>& price_rows);
+
+  /// True when a decoder reads category rows.
+  bool DecodesCategories() const {
+    return config_.two_branch || (config_.use_category && !config_.use_price);
+  }
 
   PupConfig config_;
   const data::Dataset* dataset_ = nullptr;  // Valid during Fit.
@@ -143,10 +176,10 @@ class Pup : public models::Recommender,
   models::DotScorer scorer_;
   size_t num_users_ = 0;
 
-  // Per-batch node-index scratch, reused across steps (ForwardBatch
-  // resizes; entries for disabled node types are never read).
-  std::vector<uint32_t> user_nodes_, pos_nodes_, neg_nodes_, pos_cats_,
-      neg_cats_, pos_prices_, neg_prices_;
+  Frontier batch_frontier_;  // Rebuilt by every ForwardBatch.
+  Frontier all_rows_;        // Every node at every layer.
+  BatchRows nodes_;          // The batch's node ids.
+  BatchRows rows_;           // Their positions in the batch frontier.
 };
 
 }  // namespace pup::core

@@ -163,26 +163,149 @@ void GemmTransB(const Matrix& a, const Matrix& b, Matrix* out) {
   });
 }
 
+namespace {
+
+// out[j] += alpha * x[j] over one row's stride of w floats. Rows of a
+// multi-column Matrix are lane-aligned and padded to a whole number of
+// lanes, so the active backend's axpy covers them (pad lanes are free to
+// overwrite); a column vector's stride is its width, and a plain loop
+// covers it. Either way every entry is one multiply then one add, so the
+// result is bitwise the same on every backend.
+inline void AxpyRow(const simd::Backend& be, float alpha, const float* x,
+                    float* out, size_t w) {
+  if (w % Matrix::kAlignFloats == 0) {
+    be.axpy(alpha, x, out, 0, w);
+  } else {
+    for (size_t j = 0; j < w; ++j) out[j] += alpha * x[j];
+  }
+}
+
+// One row of sparse · X into orow (stride w): the row's entries in
+// stored (ascending column) order, explicit zeros skipped, where X.Row(c)
+// is row_of(c). Spmm and SpmmRows share it, so their rows agree bitwise.
+template <typename RowOf>
+inline void SpmmRow(const CsrMatrix& sparse, size_t i, const RowOf& row_of,
+                    const simd::Backend& be, size_t w, float* orow) {
+  const auto& row_ptr = sparse.row_ptr();
+  const auto& col_idx = sparse.col_idx();
+  const auto& values = sparse.values();
+  std::fill(orow, orow + w, 0.0f);
+  for (uint32_t k = row_ptr[i]; k < row_ptr[i + 1]; ++k) {
+    const float v = values[k];
+    if (v == 0.0f) continue;  // Explicit zeros are common after masking.
+    AxpyRow(be, v, row_of(col_idx[k]), orow, w);
+  }
+}
+
+// Columns per block of SpmmRowsTransposedAdd's stack accumulator; a
+// multiple of the 16-float lane.
+constexpr size_t kSpmmAccCols = 256;
+
+}  // namespace
+
 // PUP_HOT
 void Spmm(const CsrMatrix& sparse, const Matrix& dense, Matrix* out) {
   PUP_OBS_COUNT("la/spmm", 1);
   PUP_CHECK_EQ(sparse.cols(), dense.rows());
   const size_t m = sparse.rows(), n = dense.cols();
   EnsureShapeNoZero(m, n, out);
-  const auto& row_ptr = sparse.row_ptr();
-  const auto& col_idx = sparse.col_idx();
-  const auto& values = sparse.values();
+  const simd::Backend& be = simd::Active();
+  const size_t w = out->stride();
+  const auto row_of = [&](uint32_t c) { return dense.Row(c); };
   // Average row cost; individual rows vary but chunks amortize.
   const size_t row_cost = m == 0 ? 0 : (sparse.nnz() * n) / m;
   ParallelFor(0, m, RowGrain(row_cost), [&](size_t lo, size_t hi) {
     for (size_t i = lo; i < hi; ++i) {
-      float* orow = out->Row(i);
-      std::fill(orow, orow + n, 0.0f);
-      for (uint32_t k = row_ptr[i]; k < row_ptr[i + 1]; ++k) {
-        const float v = values[k];
-        if (v == 0.0f) continue;  // Explicit zeros are common after masking.
-        const float* drow = dense.Row(col_idx[k]);
-        for (size_t j = 0; j < n; ++j) orow[j] += v * drow[j];
+      SpmmRow(sparse, i, row_of, be, w, out->Row(i));
+    }
+  });
+}
+
+// PUP_HOT
+void SpmmRows(const CsrMatrix& sparse, const Matrix& dense,
+              const RowSubset* dense_rows, const RowSubset& rows,
+              Matrix* out) {
+  PUP_OBS_COUNT("la/spmm_rows", 1);
+  PUP_CHECK_EQ(rows.universe(), sparse.rows());
+  if (dense_rows == nullptr) {
+    PUP_CHECK_EQ(sparse.cols(), dense.rows());
+  } else {
+    PUP_CHECK_EQ(sparse.cols(), dense_rows->universe());
+    PUP_CHECK_EQ(dense_rows->size(), dense.rows());
+  }
+  const size_t m = rows.size(), n = dense.cols();
+  EnsureShapeNoZero(m, n, out);
+  const auto& row_ptr = sparse.row_ptr();
+  size_t nnz = 0;
+  for (uint32_t r : rows.ids()) nnz += row_ptr[r + 1] - row_ptr[r];
+  const size_t row_cost = m == 0 ? 0 : (nnz * n) / m;
+  const auto full_row = [&](uint32_t c) { return dense.Row(c); };
+  const auto compact_row = [&](uint32_t c) {
+    const uint32_t p = dense_rows->Position(c);
+    PUP_DCHECK(p != RowSubset::kAbsent);
+    return dense.Row(p);
+  };
+  const simd::Backend& be = simd::Active();
+  const size_t w = out->stride();
+  ParallelFor(0, m, RowGrain(row_cost), [&](size_t lo, size_t hi) {
+    for (size_t k = lo; k < hi; ++k) {
+      const uint32_t i = rows.ids()[k];
+      if (dense_rows == nullptr) {
+        SpmmRow(sparse, i, full_row, be, w, out->Row(k));
+      } else {
+        SpmmRow(sparse, i, compact_row, be, w, out->Row(k));
+      }
+    }
+  });
+}
+
+// PUP_HOT
+void SpmmRowsTransposedAdd(const CsrMatrix& sparse_t, const Matrix& grad,
+                           const RowSubset& rows, const RowSubset* out_rows,
+                           Matrix* out) {
+  PUP_OBS_COUNT("la/spmm_rows_t", 1);
+  PUP_CHECK_EQ(sparse_t.cols(), rows.universe());
+  PUP_CHECK_EQ(grad.rows(), rows.size());
+  const size_t m = out_rows == nullptr ? sparse_t.rows() : out_rows->size();
+  if (out_rows != nullptr) PUP_CHECK_EQ(out_rows->universe(), sparse_t.rows());
+  PUP_CHECK_EQ(out->rows(), m);
+  PUP_CHECK_EQ(out->cols(), grad.cols());
+  const size_t n = grad.cols();
+  const auto& row_ptr = sparse_t.row_ptr();
+  const auto& col_idx = sparse_t.col_idx();
+  const auto& values = sparse_t.values();
+  // Expected cost of a row: its membership tests plus, for the share of
+  // its entries inside `rows`, one n-wide multiply-add each.
+  const size_t avg_nnz =
+      sparse_t.rows() == 0 ? 0 : sparse_t.nnz() / sparse_t.rows();
+  const size_t universe = std::max<size_t>(1, rows.universe());
+  const size_t row_cost = avg_nnz + avg_nnz * n * rows.size() / universe;
+  const simd::Backend& be = simd::Active();
+  const size_t stride = out->stride();
+  ParallelFor(0, m, RowGrain(row_cost), [&](size_t lo, size_t hi) {
+    alignas(64) float acc[kSpmmAccCols];
+    for (size_t k = lo; k < hi; ++k) {
+      const uint32_t j = out_rows == nullptr ? static_cast<uint32_t>(k)
+                                             : out_rows->ids()[k];
+      float* orow = out->Row(k);
+      // Column blocks keep the accumulator on the stack; each entry is
+      // still the full product's ascending-column sum, then one add.
+      for (size_t c0 = 0; c0 < stride; c0 += kSpmmAccCols) {
+        const size_t w = std::min(kSpmmAccCols, stride - c0);
+        bool hit = false;
+        for (uint32_t e = row_ptr[j]; e < row_ptr[j + 1]; ++e) {
+          const uint32_t p = rows.Position(col_idx[e]);
+          if (p == RowSubset::kAbsent) continue;
+          const float v = values[e];
+          if (v == 0.0f) continue;
+          if (!hit) {
+            std::fill(acc, acc + w, 0.0f);
+            hit = true;
+          }
+          AxpyRow(be, v, grad.Row(p) + c0, acc, w);
+        }
+        if (!hit) break;  // No entry in `rows`: the row's product is zero.
+        AxpyRow(be, 1.0f, acc, orow + c0, w);
       }
     }
   });

@@ -17,6 +17,7 @@
 #include "la/csr.h"
 #include "la/matrix.h"
 #include "la/qmatrix.h"
+#include "la/row_subset.h"
 
 namespace pup::la {
 
@@ -31,6 +32,30 @@ void GemmTransB(const Matrix& a, const Matrix& b, Matrix* out);
 
 /// out = sparse * dense. Shapes: (m,k)sparse x (k,n) -> (m,n).
 void Spmm(const CsrMatrix& sparse, const Matrix& dense, Matrix* out);
+
+/// Row-restricted Spmm over the compact layout of `rows`:
+/// out.Row(k) = (sparse * X).Row(rows.ids()[k]), shape (|rows|, n). X is
+/// `dense` itself when `dense_rows` is null; otherwise `dense` is compact
+/// over `dense_rows` (X.Row(c) = dense.Row(dense_rows->Position(c))), and
+/// every column the selected rows reach must be a member. Each row sums
+/// its entries in Spmm's order, so it is bitwise equal to the matching
+/// row of Spmm(sparse, X) at any thread count.
+void SpmmRows(const CsrMatrix& sparse, const Matrix& dense,
+              const RowSubset* dense_rows, const RowSubset& rows,
+              Matrix* out);
+
+/// The backward of SpmmRows: out += sparse_tᵀ-restricted product, where
+/// `sparse_t` is the transpose of SpmmRows' matrix and `grad` is compact
+/// over `rows`. For each row j of sparse_t (every row when `out_rows` is
+/// null, else the members of `out_rows`, out.Row(out_rows->Position(j))):
+///   out.Row(j) += Σ sparse_t(j, i) · grad.Row(rows.Position(i))
+/// over the entries whose column i is in `rows`, in ascending i — the
+/// per-row sum of the full product Spmm(sparse_t, G) where G is zero
+/// outside `rows`, added once, so the result is bitwise equal to adding
+/// that full product. Rows with no entry in `rows` are left untouched.
+void SpmmRowsTransposedAdd(const CsrMatrix& sparse_t, const Matrix& grad,
+                           const RowSubset& rows, const RowSubset* out_rows,
+                           Matrix* out);
 
 /// out += alpha * x (elementwise, same shape).
 void Axpy(float alpha, const Matrix& x, Matrix* out);

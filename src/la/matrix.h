@@ -221,6 +221,15 @@ class Matrix {
     data_.resize(n);
   }
 
+  /// Floats the buffer holds without reallocating: ResizeNoZero to any
+  /// shape with ExtentFor(rows, cols) <= capacity() allocates nothing.
+  size_t capacity() const { return data_.capacity(); }
+
+  /// Buffer extent, in floats, of a rows x cols matrix.
+  static constexpr size_t ExtentFor(size_t rows, size_t cols) {
+    return PaddedExtent(rows, StrideFor(cols));
+  }
+
   bool SameShape(const Matrix& other) const {
     return rows_ == other.rows_ && cols_ == other.cols_;
   }

@@ -33,7 +33,12 @@ std::string TempDir() {
                     std::to_string(::testing::UnitTest::GetInstance()
                                        ->random_seed()) +
                     "_" + std::to_string(::getpid());
-  std::string cmd = "mkdir -p " + dir;
+  // The first call in a process empties the directory: pids are reused,
+  // and fixtures left by an earlier run would be linted along with ours.
+  static bool emptied = false;
+  const std::string cmd =
+      (emptied ? "" : "rm -rf " + dir + " && ") + "mkdir -p " + dir;
+  emptied = true;
   EXPECT_EQ(std::system(cmd.c_str()), 0);
   return dir;
 }
