@@ -14,7 +14,7 @@
 //
 // Per-config latency histograms land in the obs registry under
 // serve/closed/t<N>/latency and serve/open/t<N>/latency, and QPS /
-// cache-hit-rate / batch-occupancy summaries in serve/bench/* gauges —
+// cache-hit-rate summaries in serve/bench/* gauges —
 // all embedded in the one-line bench JSON by bench::Finish(). A bitwise
 // parity case (served top-K vs offline reference ranking) gates the run:
 // load numbers from an engine that misranks are meaningless.
@@ -57,14 +57,11 @@ struct LoadStats {
   double p95_us = 0.0;
   double p99_us = 0.0;
   double hit_rate = 0.0;
-  double occupancy = 0.0;
   uint64_t served = 0;
 };
 
 serve::ServerOptions MakeOptions() {
   serve::ServerOptions opt;
-  opt.max_batch = 32;
-  opt.batch_timeout_us = 100;
   opt.cache_capacity = 4096;
   opt.max_k = 100;
   return opt;
@@ -72,40 +69,27 @@ serve::ServerOptions MakeOptions() {
 
 // Quantization-comparison options: cache OFF (with the Zipf result cache
 // on, hot users hit the cache in every config and the f32/int8/int4 QPS
-// columns converge toward cache throughput instead of scoring cost) and
-// batching OFF (a lone closed-loop client never has companions, so the
-// batch-timeout dawdle would just add an identical constant to every
-// mode and drown the scoring-cost difference being measured).
+// columns converge toward cache throughput instead of scoring cost).
 serve::ServerOptions MakeQuantOptions() {
   serve::ServerOptions opt = MakeOptions();
   opt.cache_capacity = 0;
-  opt.max_batch = 1;
-  opt.batch_timeout_us = 0;
   return opt;
 }
 
-// Snapshot-diffs the server's cache/batch counters around `body` and
-// fills the shared parts of `stats`.
+// Snapshot-diffs the server's cache counters around `body` and fills
+// the hit rate of `stats`.
 template <typename Fn>
 void WithServeCounters(Fn body, LoadStats* stats) {
   obs::Registry& reg = obs::Registry::Global();
   const uint64_t hit0 = reg.GetCounter("serve/cache_hit")->Get();
   const uint64_t miss0 = reg.GetCounter("serve/cache_miss")->Get();
-  const uint64_t batches0 = reg.GetCounter("serve/batches")->Get();
-  const uint64_t occ0 = reg.GetHistogram("serve/batch_occupancy")->Sum();
   body();
   const uint64_t hits = reg.GetCounter("serve/cache_hit")->Get() - hit0;
   const uint64_t misses = reg.GetCounter("serve/cache_miss")->Get() - miss0;
-  const uint64_t batches = reg.GetCounter("serve/batches")->Get() - batches0;
-  const uint64_t occ =
-      reg.GetHistogram("serve/batch_occupancy")->Sum() - occ0;
   stats->hit_rate = hits + misses > 0
                         ? static_cast<double>(hits) /
                               static_cast<double>(hits + misses)
                         : 0.0;
-  stats->occupancy =
-      batches > 0 ? static_cast<double>(occ) / static_cast<double>(batches)
-                  : 0.0;
 }
 
 void FillRequest(const serve::Trace& trace, const serve::TraceEvent& ev,
@@ -164,8 +148,8 @@ LoadStats RunClosedLoop(serve::Server* server, const serve::Trace& trace,
 }
 
 // Open loop: dispatchers honour the trace's arrival schedule (rescaled
-// to `target_qps`); latency includes time spent queued behind slow
-// batches, the way a real SLO sees it.
+// to `target_qps`); latency includes time spent waiting for a free
+// dispatcher, the way a real SLO sees it.
 LoadStats RunOpenLoop(serve::Server* server, const serve::Trace& trace,
                       const std::vector<std::vector<uint32_t>>& exclude,
                       int dispatchers, double target_qps,
@@ -308,8 +292,6 @@ void RecordLoadCase(const std::string& name, const LoadStats& s,
       ->Set(static_cast<int64_t>(s.qps));
   reg.GetGauge("serve/bench/" + name + "/hit_pct")
       ->Set(static_cast<int64_t>(s.hit_rate * 100.0));
-  reg.GetGauge("serve/bench/" + name + "/occupancy_x100")
-      ->Set(static_cast<int64_t>(s.occupancy * 100.0));
 }
 
 // Bitwise parity gate: the served full ranking must equal the offline
@@ -398,13 +380,12 @@ int main() {
 
   obs::Registry& reg = obs::Registry::Global();
   TextTable table({"scenario", "threads", "qps", "p50_us", "p95_us",
-                   "p99_us", "hit_rate", "occupancy"});
+                   "p99_us", "hit_rate"});
   auto add_row = [&](const char* scenario, int threads,
                      const LoadStats& s) {
     table.AddRow({scenario, std::to_string(threads), FormatFixed(s.qps, 0),
                   FormatFixed(s.p50_us, 1), FormatFixed(s.p95_us, 1),
-                  FormatFixed(s.p99_us, 1), FormatFixed(s.hit_rate, 3),
-                  FormatFixed(s.occupancy, 2)});
+                  FormatFixed(s.p99_us, 1), FormatFixed(s.hit_rate, 3)});
   };
 
   // Closed loop at two client counts; fresh server per run so cache and
@@ -422,8 +403,8 @@ int main() {
     capacity_qps = std::max(capacity_qps, s.qps);
   }
 
-  // Open loop at ~60% of measured capacity: stable but busy enough for
-  // micro-batches to form, at two dispatcher counts.
+  // Open loop at ~60% of measured capacity: stable but busy, at two
+  // dispatcher counts.
   const double target_qps = std::max(capacity_qps * 0.6, 1000.0);
   for (int dispatchers : {4, 8}) {
     serve::Server server(index, MakeOptions());
@@ -440,17 +421,16 @@ int main() {
   std::printf("open-loop target: %.0f qps\n", target_qps);
 
   // --- Quantized serving: bytes/item vs recall@50 vs QPS ----------------
-  // The trace catalog above is sized for cache/batch behaviour and is far
-  // too small for scoring cost to matter, so this section freezes its own
+  // The trace catalog above is sized for cache behaviour and is far too
+  // small for scoring cost to matter, so this section freezes its own
   // serving-scale catalog (floored at 8192 items regardless of
   // PUP_BENCH_SCALE) where the per-request catalog scan dominates — the
-  // regime quantization exists for. It is driven with a single in-flight
-  // client: one request at a time means the f32 GEMM path and the
-  // quantized fastscan path each scan the catalog exactly once per
-  // request, so the per-mode columns compare scoring cost; batch
-  // amortization is the open-loop section's job. Fresh cache-less server
-  // per mode (see MakeQuantOptions); recall is measured against a second
-  // exact-f32 server over the same index.
+  // regime quantization exists for. Every request scans the catalog
+  // exactly once on its client's thread, so the per-mode columns compare
+  // scoring cost, at 1 and at 4 closed-loop clients. Fresh cache-less
+  // server per mode (see MakeQuantOptions); recall is measured against a
+  // second exact-f32 server over the same index. The 1-client figures
+  // are the `qps`/`speedup_x100` gauges, the 4-client ones `*_t4*`.
   data::SyntheticConfig qconfig;
   qconfig.num_users = 256;
   qconfig.num_items =
@@ -479,9 +459,9 @@ int main() {
               qbase->num_items());
   const size_t qreq =
       std::max<size_t>(static_cast<size_t>(8000.0 * env.scale), 400);
-  TextTable qt({"mode", "bytes/item", "recall@50", "qps", "p50_us", "p99_us",
-                "speedup"});
-  double f32_qps = 0.0;
+  TextTable qt({"mode", "clients", "bytes/item", "recall@50", "qps",
+                "p50_us", "p99_us", "speedup"});
+  double f32_qps[2] = {0.0, 0.0};
   for (la::QuantMode mode : {la::QuantMode::kOff, la::QuantMode::kInt8,
                              la::QuantMode::kInt4}) {
     const char* mname =
@@ -503,29 +483,35 @@ int main() {
       serve::Server exact(qbase, MakeQuantOptions());
       recall = MeanRecallAt50(&exact, &server, qexclude);
     }
-    LoadStats s = RunScoringLoop(
-        &server, qexclude, qreq, 1,
-        reg.GetTimer(std::string("serve/quant/") + mname + "/latency"));
     const size_t bytes_per_item = mode == la::QuantMode::kOff
                                       ? qindex->dim() * sizeof(float)
                                       : qindex->quant_items().BytesPerRow();
-    if (mode == la::QuantMode::kOff) f32_qps = s.qps;
-    const double speedup = f32_qps > 0.0 ? s.qps / f32_qps : 0.0;
-    qt.AddRow({mname, std::to_string(bytes_per_item), FormatFixed(recall, 4),
-               FormatFixed(s.qps, 0), FormatFixed(s.p50_us, 1),
-               FormatFixed(s.p99_us, 1), FormatFixed(speedup, 2)});
     const std::string g = std::string("serve/bench/quant/") + mname;
-    reg.GetGauge(g + "/qps")->Set(static_cast<int64_t>(s.qps));
     reg.GetGauge(g + "/bytes_per_item")
         ->Set(static_cast<int64_t>(bytes_per_item));
     reg.GetGauge(g + "/recall50_x10000")
         ->Set(static_cast<int64_t>(recall * 10000.0));
-    reg.GetGauge(g + "/speedup_x100")
-        ->Set(static_cast<int64_t>(speedup * 100.0));
+    bool ok = recall >= 0.5;
+    for (size_t c = 0; c < 2; ++c) {
+      const int clients = c == 0 ? 1 : 4;
+      const std::string tag = c == 0 ? "" : "_t4";
+      LoadStats s = RunScoringLoop(
+          &server, qexclude, qreq, clients,
+          reg.GetTimer("serve/quant/" + std::string(mname) + tag + "/latency"));
+      if (mode == la::QuantMode::kOff) f32_qps[c] = s.qps;
+      const double speedup = f32_qps[c] > 0.0 ? s.qps / f32_qps[c] : 0.0;
+      qt.AddRow({mname, std::to_string(clients),
+                 std::to_string(bytes_per_item), FormatFixed(recall, 4),
+                 FormatFixed(s.qps, 0), FormatFixed(s.p50_us, 1),
+                 FormatFixed(s.p99_us, 1), FormatFixed(speedup, 2)});
+      reg.GetGauge(g + "/qps" + tag)->Set(static_cast<int64_t>(s.qps));
+      reg.GetGauge(g + "/speedup" + tag + "_x100")
+          ->Set(static_cast<int64_t>(speedup * 100.0));
+      ok = ok && s.qps > 0.0 && s.served == qreq;
+    }
     // The 0.95x-of-f32 recall floor is asserted by the CI quant job from
     // the JSON summary; the in-bench case only rejects degeneracy.
-    bench::RecordCase(std::string("quant_") + mname,
-                      s.qps > 0.0 && s.served == qreq && recall >= 0.5,
+    bench::RecordCase(std::string("quant_") + mname, ok,
                       "quantized scoring degenerated (no qps or recall<0.5)");
   }
   std::printf("%s", qt.ToString().c_str());

@@ -608,6 +608,10 @@ void Gemv(const Matrix& a, const Matrix& x, Matrix* out) {
   });
 }
 
+// The serving kernels below run on the calling thread: a server's
+// parallelism is its concurrent callers (docs/serving.md), so none of
+// them fans out to the pool.
+
 // PUP_HOT: the serving full-ranking hot path; writes into caller-owned
 // buffers and must not allocate.
 void ScoreItemsForUser(const Matrix& items, const float* user,
@@ -615,38 +619,10 @@ void ScoreItemsForUser(const Matrix& items, const float* user,
   PUP_OBS_COUNT("la/score_user", 1);
   const size_t n = items.rows();
   const size_t d = items.cols();
-  const simd::Backend& be = simd::Active();
-  ParallelFor(0, n, RowGrain(d), [&](size_t lo, size_t hi) {
-    be.gemv_rows(items.data(), items.stride(), user, out, lo, hi, d);
-    if (bias != nullptr) {
-      for (size_t i = lo; i < hi; ++i) out[i] += bias[i];
-    }
-  });
-}
-
-// PUP_HOT: one call scores a whole serving micro-batch.
-void ScoreItemsForUsers(const Matrix& items, const Matrix& users,
-                        const float* bias, Matrix* out) {
-  PUP_OBS_COUNT("la/score_batch", 1);
-  PUP_CHECK_EQ(users.cols(), items.cols());
-  const size_t m = users.rows();
-  const size_t d = users.cols();
-  const size_t n = items.rows();
-  EnsureShapeNoZero(m, n, out);
-  const simd::Backend& be = simd::Active();
-  // gemm_tb and gemv share one row-dot primitive per backend and float
-  // multiplication commutes bitwise, so out.Row(r) below equals the
-  // per-user gemv result exactly — batching never changes a score.
-  ParallelFor(0, m, RowGrain(d * n), [&](size_t lo, size_t hi) {
-    be.gemm_tb_rows(users.data(), users.stride(), items.data(),
-                    items.stride(), out->data(), out->stride(), lo, hi, d, n);
-    if (bias != nullptr) {
-      for (size_t r = lo; r < hi; ++r) {
-        float* row = out->Row(r);
-        for (size_t i = 0; i < n; ++i) row[i] += bias[i];
-      }
-    }
-  });
+  simd::Active().gemv_rows(items.data(), items.stride(), user, out, 0, n, d);
+  if (bias != nullptr) {
+    for (size_t i = 0; i < n; ++i) out[i] += bias[i];
+  }
 }
 
 // PUP_HOT: candidate re-rank path; per-candidate single-row gemv keeps
@@ -657,13 +633,11 @@ void ScoreItemsSubset(const Matrix& items, const float* user,
   PUP_OBS_COUNT("la/score_subset", 1);
   const size_t d = items.cols();
   const simd::Backend& be = simd::Active();
-  ParallelFor(0, n_idx, RowGrain(d), [&](size_t lo, size_t hi) {
-    for (size_t j = lo; j < hi; ++j) {
-      PUP_DCHECK(idx[j] < items.rows());
-      be.gemv_rows(items.Row(idx[j]), items.stride(), user, out + j, 0, 1, d);
-      if (bias != nullptr) out[j] += bias[idx[j]];
-    }
-  });
+  for (size_t j = 0; j < n_idx; ++j) {
+    PUP_DCHECK(idx[j] < items.rows());
+    be.gemv_rows(items.Row(idx[j]), items.stride(), user, out + j, 0, 1, d);
+    if (bias != nullptr) out[j] += bias[idx[j]];
+  }
 }
 
 // PUP_HOT: the quantized serving scan; writes into caller-owned buffers
@@ -682,29 +656,27 @@ void ScoreItemsQuantized(const QuantizedTable& table,
   const float* scales = table.scales().data();
   const float* mins = table.mins().data();
   const int8_t* qcodes = query.codes.data();
-  const bool int4 = table.mode() == QuantMode::kInt4;
   // The 16-byte-aligned prefix that covers the logical columns; codes
   // beyond it are pad zeros the kernels skip (halves the int4 scan,
   // whose packed rows fill at most half the 64-byte-aligned stride).
+  const bool int4 = table.mode() == QuantMode::kInt4;
   const size_t data_bytes = int4 ? (table.cols() + 1) / 2 : table.cols();
   const size_t bytes =
       std::min(stride, (data_bytes + size_t{15}) & ~size_t{15});
-  ParallelFor(0, n, RowGrain(table.cols()), [&](size_t lo, size_t hi) {
-    if (int4) {
-      be.qdot_i4_rows(table.codes(), stride, bytes, qcodes, qcodes + stride,
-                      acc, lo, hi);
-    } else {
-      be.qdot_i8_rows(table.codes(), stride, bytes, qcodes, acc, lo, hi);
-    }
-    // Fixed-order scalar dequant epilogue (docs/quantization.md): per
-    // element, so chunk boundaries and backends cannot change a float.
-    for (size_t i = lo; i < hi; ++i) {
-      float s = scales[i] * su * static_cast<float>(acc[i]) +
-                mins[i] * su * psum;
-      if (bias != nullptr) s += bias[i];
-      out[i] = s;
-    }
-  });
+  if (int4) {
+    be.qdot_i4_rows(table.codes(), stride, bytes, qcodes, qcodes + stride,
+                    acc, 0, n);
+  } else {
+    be.qdot_i8_rows(table.codes(), stride, bytes, qcodes, acc, 0, n);
+  }
+  // Fixed-order scalar dequant epilogue (docs/quantization.md): per
+  // element, so backends cannot change a float.
+  for (size_t i = 0; i < n; ++i) {
+    float s = scales[i] * su * static_cast<float>(acc[i]) +
+              mins[i] * su * psum;
+    if (bias != nullptr) s += bias[i];
+    out[i] = s;
+  }
 }
 
 // PUP_HOT: quantized-path survivor re-rank; must not allocate.
@@ -712,18 +684,14 @@ void ScoreItemsRerank(const Matrix& items, const float* user,
                       const float* bias, const uint32_t* ids, size_t n_ids,
                       float* out) {
   PUP_OBS_COUNT("la/score_rerank", 1);
-  const size_t d = items.cols();
-  const simd::Backend& be = simd::Active();
-  ParallelFor(0, n_ids, RowGrain(d), [&](size_t lo, size_t hi) {
-    be.rerank_dot_rows(items.data(), items.stride(), user, ids, out, lo, hi,
-                       d);
-    if (bias != nullptr) {
-      for (size_t j = lo; j < hi; ++j) {
-        PUP_DCHECK(ids[j] < items.rows());
-        out[j] += bias[ids[j]];
-      }
+  simd::Active().rerank_dot_rows(items.data(), items.stride(), user, ids,
+                                 out, 0, n_ids, items.cols());
+  if (bias != nullptr) {
+    for (size_t j = 0; j < n_ids; ++j) {
+      PUP_DCHECK(ids[j] < items.rows());
+      out[j] += bias[ids[j]];
     }
-  });
+  }
 }
 
 // PUP_HOT: runs inside every guarded training step; must not allocate.

@@ -8,7 +8,8 @@
 // serial implementation bitwise. ScatterAddRows stays bitwise-identical
 // to serial at every thread count via destination-row sharding; the
 // scalar reductions (Sum/SquaredNorm/Dot) combine fixed-size chunk
-// partials in chunk order. See docs/threading.md.
+// partials in chunk order. The serving scoring kernels are the exception:
+// they run on the calling thread. See docs/threading.md.
 #pragma once
 
 #include <cstdint>
@@ -127,26 +128,20 @@ float MaxAbs(const Matrix& x);
 /// y = A x for a dense (m,d) matrix and a length-d vector (d,1) -> (m,1).
 void Gemv(const Matrix& a, const Matrix& x, Matrix* out);
 
-// Serving-layer scoring entry points (docs/serving.md). All three route
+// Serving-layer scoring entry points (docs/serving.md). Both route
 // through the active backend's shared row-dot primitive (pinned lane
-// accumulation order), so the single-query, batched, and candidate-subset
-// paths produce bitwise-identical floats for the same backend — the
-// mechanism behind the serve-vs-eval ranking parity contract. The
-// optional `bias` (length items.rows(), nullptr for none) is added after
-// each dot product. `user` must be 64-byte aligned when items.cols() >= 8
-// (any padded Matrix row or Matrix::data() qualifies).
+// accumulation order), so the full-catalog and candidate-subset paths
+// produce bitwise-identical floats for the same backend — the mechanism
+// behind the serve-vs-eval ranking parity contract. The optional `bias`
+// (length items.rows(), nullptr for none) is added after each dot
+// product. `user` must be 64-byte aligned when items.cols() >= 8 (any
+// padded Matrix row or Matrix::data() qualifies). Like the quantized
+// pair below, they run on the calling thread and never touch the pool.
 
 /// out[i] = dot(items.Row(i), user) + bias[i] for every item; `out`
 /// holds items.rows() floats.
 void ScoreItemsForUser(const Matrix& items, const float* user,
                        const float* bias, float* out);
-
-/// Batched form for micro-batched serving: out(r, i) =
-/// dot(items.Row(i), users.Row(r)) + bias[i]. Shapes: (n,d) items,
-/// (m,d) users -> (m,n). Each output row is bitwise-equal to a
-/// ScoreItemsForUser call on that user alone, at any batch shape.
-void ScoreItemsForUsers(const Matrix& items, const Matrix& users,
-                        const float* bias, Matrix* out);
 
 /// Candidate re-rank form: out[j] = dot(items.Row(idx[j]), user) +
 /// bias[idx[j]] for j in [0, n_idx). Ids in `idx` must be < items.rows().
@@ -156,10 +151,10 @@ void ScoreItemsSubset(const Matrix& items, const float* user,
 
 // Quantized fastscan scoring (docs/quantization.md). Unlike the f32
 // entry points above — bitwise-stable only per lane width — these two
-// are bitwise-identical across EVERY backend, thread count, and batch
-// schedule: the fastscan dot accumulates in exact int32 arithmetic, the
-// dequant epilogue is fixed-order scalar math, and the re-rank dot runs
-// in a pinned 16-virtual-lane shape on all ISAs.
+// are bitwise-identical across EVERY backend: the fastscan dot
+// accumulates in exact int32 arithmetic, the dequant epilogue is
+// fixed-order scalar math, and the re-rank dot runs in a pinned
+// 16-virtual-lane shape on all ISAs.
 
 /// out[i] = scales[i]*q.scale*acc[i] + mins[i]*q.scale*q.code_sum
 ///          (+ bias[i]) — the affine-dequantized approximate score of

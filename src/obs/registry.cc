@@ -129,9 +129,17 @@ double Histogram::Percentile(double p) const {
     const double before = static_cast<double>(cum - counts[b]);
     const double frac =
         std::clamp((rank - before) / static_cast<double>(counts[b]), 0.0, 1.0);
-    return lo + (hi - lo) * frac;
+    // A concurrent Observe may have published its min before its max.
+    const double vmin = static_cast<double>(Min());
+    const double vmax = std::max(vmin, static_cast<double>(Max()));
+    return std::clamp(lo + (hi - lo) * frac, vmin, vmax);
   }
   return 0.0;
+}
+
+uint64_t Histogram::Min() const {
+  const uint64_t lo = min_.load(std::memory_order_relaxed);
+  return lo == UINT64_MAX ? 0 : lo;
 }
 
 ScopedTimer::~ScopedTimer() {

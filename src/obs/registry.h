@@ -102,25 +102,41 @@ class Histogram {
     count_.fetch_add(1, std::memory_order_relaxed);
     sum_.fetch_add(value, std::memory_order_relaxed);
     buckets_[b].fetch_add(1, std::memory_order_relaxed);
+    uint64_t lo = min_.load(std::memory_order_relaxed);
+    while (value < lo &&
+           !min_.compare_exchange_weak(lo, value, std::memory_order_relaxed)) {
+    }
+    uint64_t hi = max_.load(std::memory_order_relaxed);
+    while (value > hi &&
+           !max_.compare_exchange_weak(hi, value, std::memory_order_relaxed)) {
+    }
   }
 
   uint64_t Count() const { return count_.load(std::memory_order_relaxed); }
   uint64_t Sum() const { return sum_.load(std::memory_order_relaxed); }
+  /// Smallest / largest observed value; 0 when empty.
+  uint64_t Min() const;
+  uint64_t Max() const { return max_.load(std::memory_order_relaxed); }
 
   /// Estimated value at percentile `p` in [0, 100]; 0 when empty. Bucket
-  /// resolution is a factor of two, exact within a bucket's linear
-  /// interpolation — plenty for p50/p95/p99 latency reporting.
+  /// resolution is a factor of two, linearly interpolated within the
+  /// bucket and clamped to [Min(), Max()], so no percentile reads outside
+  /// the observed range (one sample is its own p50 and p99).
   double Percentile(double p) const;
 
   void Reset() {
     count_.store(0, std::memory_order_relaxed);
     sum_.store(0, std::memory_order_relaxed);
+    min_.store(UINT64_MAX, std::memory_order_relaxed);
+    max_.store(0, std::memory_order_relaxed);
     for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
   }
 
  private:
   std::atomic<uint64_t> count_{0};
   std::atomic<uint64_t> sum_{0};
+  std::atomic<uint64_t> min_{UINT64_MAX};
+  std::atomic<uint64_t> max_{0};
   std::array<std::atomic<uint64_t>, kNumBuckets> buckets_{};
 };
 

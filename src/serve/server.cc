@@ -1,7 +1,6 @@
 #include "serve/server.h"
 
 #include <algorithm>
-#include <chrono>
 #include <limits>
 #include <utility>
 
@@ -35,11 +34,7 @@ void EmitRanked(const float* scores, const std::vector<uint32_t>& top,
 RequestContext::RequestContext(const Server& server) {
   const ServerOptions& opt = server.options();
   const std::shared_ptr<const ServingIndex> index = server.snapshot();
-  batch_.reserve(opt.max_batch);
-  full_rows_.reserve(opt.max_batch);
-  batch_users_ = la::Matrix(opt.max_batch, index->dim());
-  batch_scores_ = la::Matrix(opt.max_batch, index->num_items());
-  scratch_scores_.reserve(index->num_items());
+  scores_.reserve(index->num_items());
   topk_.reserve(opt.max_k);
   selector_.Reserve(opt.max_k);
   // Quantized scratch, reserved for whichever quant mode needs more (an
@@ -62,21 +57,16 @@ Server::Server(std::shared_ptr<const ServingIndex> index,
                ServerOptions options)
     : options_(options), index_(std::move(index)) {
   PUP_CHECK(index_ != nullptr);
-  PUP_CHECK(options_.max_batch >= 1);
   PUP_CHECK(options_.max_k >= 1);
   PUP_CHECK(options_.rerank_factor >= 1);
-  queue_.reserve(options_.max_batch);
   if (options_.cache_capacity > 0) {
     cache_ = std::make_unique<ResultCache>(
         options_.cache_capacity, index_->num_users(), options_.max_k);
   }
   obs::Registry& reg = obs::Registry::Global();
   requests_ = reg.GetCounter("serve/requests");
-  batches_ = reg.GetCounter("serve/batches");
   cache_hits_ = reg.GetCounter("serve/cache_hit");
   cache_misses_ = reg.GetCounter("serve/cache_miss");
-  occupancy_ = reg.GetHistogram("serve/batch_occupancy");
-  batch_timer_ = reg.GetTimer("serve/batch");
 }
 
 std::shared_ptr<const ServingIndex> Server::snapshot() const {
@@ -93,15 +83,15 @@ void Server::Reload(std::shared_ptr<const ServingIndex> index) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     index_ = std::move(index);
-    // Bump under mu_ so a batch leader's (snapshot, generation) pair is
-    // always consistent; readers use the relaxed atomic.
+    // Bump under mu_ so the (snapshot, generation) pair a request takes
+    // is always consistent; readers use the relaxed atomic.
     generation_.fetch_add(1, std::memory_order_relaxed);
   }
   if (cache_ != nullptr) cache_->Invalidate();
 }
 
 // PUP_HOT: the serving request loop — no allocation in steady state; the
-// only waits are the batching monitor and the serialized batch execution.
+// only locks are the cache set's and the snapshot read below.
 void Server::Rank(const Request& req, RequestContext* ctx, Reply* reply) {
   PUP_CHECK_MSG(req.k >= 1 && req.k <= options_.max_k,
                 "request k outside [1, max_k]");
@@ -119,104 +109,43 @@ void Server::Rank(const Request& req, RequestContext* ctx, Reply* reply) {
     cache_misses_->Add(1);
   }
 
-  Slot slot;
-  slot.req = &req;
-  slot.reply = reply;
-  std::unique_lock<std::mutex> lk(mu_);  // NOLINT(pup-hot-transitive): micro-batch rendezvous — one bounded wait buys batched execution (see docs/serving.md).
-  // A full forming batch means its leader is about to claim it; wait for
-  // the claim rather than overflowing the fixed-capacity queue.
-  while (queue_.size() >= options_.max_batch) cv_.wait(lk);  // NOLINT(pup-hot-transitive): micro-batch rendezvous — one bounded wait buys batched execution (see docs/serving.md).
-  const bool leader = queue_.empty();
-  queue_.push_back(&slot);  // NOLINT(pup-hot-alloc): capacity max_batch.
-  if (!leader) {
-    if (queue_.size() >= options_.max_batch) cv_.notify_all();
-    cv_.wait(lk, [&] { return slot.done; });  // NOLINT(pup-hot-transitive): micro-batch rendezvous — one bounded wait buys batched execution (see docs/serving.md).
-    return;
-  }
-  if (options_.batch_timeout_us > 0 && options_.max_batch > 1) {
-    cv_.wait_for(lk, std::chrono::microseconds(options_.batch_timeout_us),  // NOLINT(pup-hot-transitive): micro-batch rendezvous — one bounded wait buys batched execution (see docs/serving.md).
-                 [&] { return queue_.size() >= options_.max_batch; });
-  }
-  // Claim the batch. New arrivals start forming the next one as soon as
-  // the lock drops; execution below is serialized on exec_mu_, so under
-  // load the next leader collects every request that queues meanwhile.
-  // NOLINTNEXTLINE(pup-hot-alloc): <= max_batch pointers, Reserve'd.
-  ctx->batch_.assign(queue_.begin(), queue_.end());
-  queue_.clear();
-  const std::shared_ptr<const ServingIndex> index = index_;
-  const uint64_t generation = generation_.load(std::memory_order_relaxed);
-  lk.unlock();
-  cv_.notify_all();
+  std::shared_ptr<const ServingIndex> index;
+  uint64_t generation = 0;
   {
-    std::lock_guard<std::mutex> exec(exec_mu_);  // NOLINT(pup-hot-transitive): micro-batch rendezvous — one bounded wait buys batched execution (see docs/serving.md).
-    ExecuteBatch(*index, generation, ctx);
+    std::lock_guard<std::mutex> lock(mu_);  // NOLINT(pup-hot-transitive): snapshot read — copies the (index, generation) pair Reload swaps; held for one refcount bump.
+    index = index_;
+    generation = generation_.load(std::memory_order_relaxed);
   }
-  lk.lock();  // NOLINT(pup-hot-transitive): micro-batch rendezvous — one bounded wait buys batched execution (see docs/serving.md).
-  for (Slot* s : ctx->batch_) s->done = true;
-  lk.unlock();
-  cv_.notify_all();
-}
-
-// PUP_HOT: scores one claimed micro-batch — one batched GEMM for the
-// full-ranking rows, per-request subset/prior scoring for the rest.
-void Server::ExecuteBatch(const ServingIndex& index, uint64_t generation,
-                          RequestContext* ctx) {
-  obs::ScopedTimer span(batch_timer_, "serve/batch");
-  batches_->Add(1);
-  occupancy_->Observe(ctx->batch_.size());
-  const size_t d = index.dim();
-  ctx->full_rows_.clear();
-  for (size_t i = 0; i < ctx->batch_.size(); ++i) {
-    Slot* s = ctx->batch_[i];
-    Scenario sc = s->req->scenario;
-    // Unknown users cannot be scored from the user table: fall back to
-    // the price-level popularity prior (full ranking) or to the prior
-    // restricted to the candidate pool (re-rank).
-    if (sc == Scenario::kFullRanking && s->req->user >= index.num_users()) {
-      sc = Scenario::kColdStart;
-    }
-    s->served = sc;
-    // Quantized indexes take the fastscan + re-rank path per request
-    // (the scan is a memory-bound integer pass, not a batched GEMM).
-    if (sc == Scenario::kFullRanking && !index.quantized()) {
-      // NOLINTNEXTLINE(pup-hot-alloc): <= max_batch entries, Reserve'd.
-      ctx->full_rows_.push_back(static_cast<uint32_t>(i));
-    }
+  // Unknown users cannot be scored from the user table: fall back to the
+  // price-level popularity prior (full ranking) or to the prior
+  // restricted to the candidate pool (re-rank).
+  Scenario served = req.scenario;
+  if (served == Scenario::kFullRanking && req.user >= index->num_users()) {
+    served = Scenario::kColdStart;
   }
-  if (!ctx->full_rows_.empty()) {
-    ctx->batch_users_.ResizeNoZero(ctx->full_rows_.size(), d);
-    for (size_t r = 0; r < ctx->full_rows_.size(); ++r) {
-      const Request& rq = *ctx->batch_[ctx->full_rows_[r]]->req;
-      const float* src = index.user_vecs().Row(rq.user);
-      std::copy(src, src + d, ctx->batch_users_.Row(r));
+  if (served == Scenario::kFullRanking) {
+    // NOLINTNEXTLINE(pup-hot-alloc): <= num_items floats, Reserve'd buffer.
+    ctx->scores_.resize(index->num_items());
+    if (index->quantized()) {
+      ServeFullRankingQuantized(*index, generation, req, reply, ctx);
+    } else {
+      ServeFullRanking(*index, generation, req, reply, ctx);
     }
-    la::ScoreItemsForUsers(index.item_vecs(), ctx->batch_users_, index.bias(),
-                           &ctx->batch_scores_);
-    for (size_t r = 0; r < ctx->full_rows_.size(); ++r) {
-      Slot* s = ctx->batch_[ctx->full_rows_[r]];
-      ServeFullRanking(index, generation, ctx->batch_scores_.Row(r),
-                       *s->req, s->reply, ctx);
-    }
+  } else if (served == Scenario::kRerank) {
+    ServeSubset(*index, req, reply, ctx);
+  } else {
+    ServePrior(*index, req, reply, ctx);
   }
-  for (Slot* s : ctx->batch_) {
-    if (s->served == Scenario::kFullRanking && index.quantized()) {
-      ServeFullRankingQuantized(index, generation, *s->req, s->reply, ctx);
-    } else if (s->served == Scenario::kRerank) {
-      ServeSubset(index, *s->req, s->reply, ctx);
-    } else if (s->served == Scenario::kColdStart) {
-      ServePrior(index, *s->req, s->reply, ctx);
-    }
-    s->reply->served = s->served;
-  }
+  reply->served = served;
 }
 
 // PUP_HOT: quantized full ranking — int8/int4 fastscan over the code
 // table, survivor selection at rerank_factor * k, exact-f32 re-rank of
-// the survivors. Every stage is bitwise-deterministic across backends,
-// thread counts, and batch schedules: the scan accumulates in exact
-// int32, the dequant epilogue is fixed-order scalar math, survivor
-// membership comes from the strict (score desc, id asc) selector, and
-// the re-rank dot runs in a pinned 16-virtual-lane shape on every ISA.
+// the survivors. Every stage is bitwise-deterministic across backends
+// and thread counts: the scan accumulates in exact int32, the dequant
+// epilogue is fixed-order scalar math, survivor membership comes from
+// the strict (score desc, id asc) selector, and the re-rank dot runs in
+// a pinned 16-virtual-lane shape on every ISA.
 void Server::ServeFullRankingQuantized(const ServingIndex& index,
                                        uint64_t generation, const Request& req,
                                        Reply* reply, RequestContext* ctx) {
@@ -227,14 +156,12 @@ void Server::ServeFullRankingQuantized(const ServingIndex& index,
     PUP_OBS_SCOPED_TIMER("serve/quant/fastscan");
     ctx->qquery_.Prepare(user, qt);
     // NOLINTNEXTLINE(pup-hot-alloc): <= num_items entries, Reserve'd buffer.
-    ctx->scratch_scores_.resize(n);
-    // NOLINTNEXTLINE(pup-hot-alloc): <= num_items entries, Reserve'd buffer.
     ctx->qacc_.resize(n);
     la::ScoreItemsQuantized(qt, ctx->qquery_, index.bias(), ctx->qacc_.data(),
-                            ctx->scratch_scores_.data());
+                            ctx->scores_.data());
   }
   PUP_OBS_SCOPED_TIMER("serve/quant/post_scan");
-  float* approx = ctx->scratch_scores_.data();
+  float* approx = ctx->scores_.data();
   if (req.exclude != nullptr) {
     for (uint32_t id : *req.exclude) {
       PUP_CHECK_MSG(id < n, "excluded item id out of range");
@@ -272,12 +199,15 @@ void Server::ServeFullRankingQuantized(const ServingIndex& index,
   }
 }
 
-// PUP_HOT: full-catalog ranking for one request; `scores` is the
-// request's private row of the batch score matrix, masked in place.
+// PUP_HOT: full-catalog ranking for one request, scored into the
+// context's catalog-sized buffer and masked in place.
 void Server::ServeFullRanking(const ServingIndex& index, uint64_t generation,
-                              float* scores, const Request& req, Reply* reply,
+                              const Request& req, Reply* reply,
                               RequestContext* ctx) {
   const size_t n = index.num_items();
+  float* scores = ctx->scores_.data();
+  la::ScoreItemsForUser(index.item_vecs(), index.user_vecs().Row(req.user),
+                        index.bias(), scores);
   if (req.exclude != nullptr) {
     for (uint32_t id : *req.exclude) {
       PUP_CHECK_MSG(id < n, "excluded item id out of range");
@@ -308,20 +238,20 @@ void Server::ServeSubset(const ServingIndex& index, const Request& req,
                   "candidates must be sorted ascending and unique");
   }
   // NOLINTNEXTLINE(pup-hot-alloc): <= num_items floats, Reserve'd buffer.
-  ctx->scratch_scores_.resize(cand.size());
+  ctx->scores_.resize(cand.size());
   if (req.user < index.num_users()) {
     la::ScoreItemsSubset(index.item_vecs(), index.user_vecs().Row(req.user),
                          index.bias(), cand.data(), cand.size(),
-                         ctx->scratch_scores_.data());
+                         ctx->scores_.data());
   } else {
     const std::vector<float>& prior = index.cold_start_prior();
     for (size_t j = 0; j < cand.size(); ++j) {
-      ctx->scratch_scores_[j] = prior[cand[j]];
+      ctx->scores_[j] = prior[cand[j]];
     }
   }
-  ctx->selector_.Select(ctx->scratch_scores_.data(), cand.size(), req.k,
+  ctx->selector_.Select(ctx->scores_.data(), cand.size(), req.k,
                         &ctx->topk_);
-  EmitRanked(ctx->scratch_scores_.data(), ctx->topk_, &cand, reply);
+  EmitRanked(ctx->scores_.data(), ctx->topk_, &cand, reply);
 }
 
 // PUP_HOT: cold-start fallback — ranks the price-level popularity prior,
@@ -330,16 +260,16 @@ void Server::ServePrior(const ServingIndex& index, const Request& req,
                         Reply* reply, RequestContext* ctx) {
   const std::vector<float>& prior = index.cold_start_prior();
   // NOLINTNEXTLINE(pup-hot-alloc): <= num_items floats, Reserve'd buffer.
-  ctx->scratch_scores_.assign(prior.begin(), prior.end());
+  ctx->scores_.assign(prior.begin(), prior.end());
   if (req.exclude != nullptr) {
     for (uint32_t id : *req.exclude) {
       PUP_CHECK_MSG(id < prior.size(), "excluded item id out of range");
-      ctx->scratch_scores_[id] = kNegInf;
+      ctx->scores_[id] = kNegInf;
     }
   }
-  ctx->selector_.Select(ctx->scratch_scores_.data(), prior.size(), req.k,
+  ctx->selector_.Select(ctx->scores_.data(), prior.size(), req.k,
                         &ctx->topk_);
-  EmitRanked(ctx->scratch_scores_.data(), ctx->topk_, nullptr, reply);
+  EmitRanked(ctx->scores_.data(), ctx->topk_, nullptr, reply);
 }
 
 }  // namespace pup::serve

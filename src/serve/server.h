@@ -1,46 +1,43 @@
 // pup::serve — the online ranking front end.
 //
-// A Server answers synchronous top-K requests over a frozen ServingIndex
-// with cross-user micro-batching: the first thread to arrive at an empty
-// batch becomes the leader, waits up to batch_timeout_us for up to
-// max_batch companions, scores the whole batch as one batched GEMM over
-// the shared item table, and completes every rider's reply. Batch
-// execution is serialized, so under load the next leader naturally
-// collects everything that queued meanwhile — occupancy grows with
-// pressure instead of with configuration.
+// A Server answers synchronous top-K requests over a frozen ServingIndex.
+// A reply is a pure function of (index snapshot, request), so requests
+// never meet: Rank checks the cache, takes the current (snapshot,
+// generation) pair under a short lock, and scores the request to
+// completion on the caller's thread and RequestContext. The server's
+// parallelism is its concurrent callers; no serving kernel fans out to
+// the thread pool.
 //
 // Determinism contract (docs/serving.md): for a fixed index and SIMD
 // backend, the reply for a request is a pure function of the request —
-// independent of thread count, batch schedule, cache state, and which
-// requests it shared a batch with. The scoring kernels guarantee the
-// scores (shared row-dot primitive per backend) and eval::TopKSelector
-// guarantees the ordering (score desc, ties to smaller id), so served
-// rankings are bitwise-identical to the offline eval ranking of the same
-// index.
+// independent of client and kernel thread counts and of cache state.
+// The scoring kernels guarantee the scores (shared row-dot primitive per
+// backend) and eval::TopKSelector guarantees the ordering (score desc,
+// ties to smaller id), so served rankings are bitwise-identical to the
+// offline eval ranking of the same index.
 //
 // Quantized serving (docs/quantization.md): when the index carries an
 // int8/int4 table, full rankings run as an exact-int32 fastscan over the
 // code table, take the top rerank_factor * k survivors by approximate
 // score, and re-rank the survivors at f32 through a pinned-16-lane dot.
-// That path carries a STRONGER determinism contract than the f32 GEMM:
+// That path carries a STRONGER determinism contract than the f32 scan:
 // the reply is bitwise-identical across SIMD backends too, not just per
 // backend.
 //
-// Zero-alloc steady state: all scoring and staging buffers live in the
-// caller-owned RequestContext, reply buffers are bounded by max_k, and
-// the cache is fully preallocated — after warmup a request performs no
-// heap allocation (same contract as training steps; serve_test pins it).
+// Zero-alloc steady state: all scoring buffers live in the caller-owned
+// RequestContext, reply buffers are bounded by max_k, and the cache is
+// fully preallocated — after warmup a request makes no heap allocation
+// on its thread (serve_test counts every operator new to pin it).
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <vector>
 
 #include "eval/topk.h"
-#include "la/matrix.h"
+#include "la/qmatrix.h"
 #include "obs/registry.h"
 #include "serve/cache.h"
 #include "serve/index.h"
@@ -88,11 +85,6 @@ struct Reply {
 };
 
 struct ServerOptions {
-  /// Largest micro-batch one GEMM scores; 1 disables cross-user batching.
-  size_t max_batch = 32;
-  /// How long a batch leader waits for companions before firing (0 =
-  /// fire immediately; occupancy then comes from natural queueing only).
-  uint64_t batch_timeout_us = 100;
   /// Hot-user result cache entries; 0 disables the cache.
   size_t cache_capacity = 0;
   /// Largest admissible k; sizes every reply/cache/selector buffer.
@@ -105,9 +97,9 @@ struct ServerOptions {
 
 class Server;
 
-/// Per-thread scoring scratch: batch staging, score matrices, selector
-/// state. Constructing one allocates everything up front; a thread reuses
-/// it across requests so the request loop stays allocation-free.
+/// Per-thread scoring scratch: score buffers and selector state.
+/// Constructing one allocates everything up front; a thread reuses it
+/// across requests so the request loop stays allocation-free.
 class RequestContext {
  public:
   explicit RequestContext(const Server& server);
@@ -115,18 +107,7 @@ class RequestContext {
  private:
   friend class Server;
 
-  struct Slot {
-    const Request* req = nullptr;
-    Reply* reply = nullptr;
-    Scenario served = Scenario::kFullRanking;
-    bool done = false;
-  };
-
-  std::vector<Slot*> batch_;        ///< Claimed batch (leader only).
-  std::vector<uint32_t> full_rows_; ///< batch_ positions scored by GEMM.
-  la::Matrix batch_users_;          ///< (<= max_batch, dim) staging.
-  la::Matrix batch_scores_;         ///< (<= max_batch, num_items) scores.
-  std::vector<float> scratch_scores_;  ///< Subset / prior scoring buffer.
+  std::vector<float> scores_;  ///< Catalog / subset / prior scores.
   std::vector<uint32_t> topk_;
   eval::TopKSelector selector_;
 
@@ -144,14 +125,15 @@ class Server {
  public:
   Server(std::shared_ptr<const ServingIndex> index, ServerOptions options);
 
-  /// Ranks synchronously; may coalesce with concurrent callers into one
-  /// batched GEMM. `ctx` must not be shared between threads; `reply`
-  /// should be Reserve'd to max_k by the caller once.
+  /// Ranks synchronously on the calling thread. `ctx` must not be shared
+  /// between threads; `reply` should be Reserve'd to max_k by the caller
+  /// once.
   void Rank(const Request& req, RequestContext* ctx, Reply* reply);
 
   /// Swaps in a freshly loaded index, bumps the generation, and
-  /// invalidates the cache. In-flight batches finish on the snapshot they
-  /// started with; later requests see only the new index.
+  /// invalidates the cache. A request already scoring finishes on the
+  /// snapshot it took; every request that starts after Reload returns
+  /// sees only the new index.
   void Reload(std::shared_ptr<const ServingIndex> index);
 
   /// The index snapshot current requests rank from.
@@ -163,14 +145,8 @@ class Server {
   ResultCache* cache() { return cache_.get(); }
 
  private:
-  friend class RequestContext;
-
-  using Slot = RequestContext::Slot;
-
-  void ExecuteBatch(const ServingIndex& index, uint64_t generation,
-                    RequestContext* ctx);
   void ServeFullRanking(const ServingIndex& index, uint64_t generation,
-                        float* scores, const Request& req, Reply* reply,
+                        const Request& req, Reply* reply,
                         RequestContext* ctx);
   void ServeFullRankingQuantized(const ServingIndex& index,
                                  uint64_t generation, const Request& req,
@@ -182,23 +158,16 @@ class Server {
 
   ServerOptions options_;
 
-  mutable std::mutex mu_;  ///< Guards queue_ and index_.
-  std::condition_variable cv_;
-  std::vector<Slot*> queue_;  ///< Forming batch; capacity max_batch.
+  mutable std::mutex mu_;  ///< Guards the (index_, generation_) pair.
   std::shared_ptr<const ServingIndex> index_;
   std::atomic<uint64_t> generation_{0};
-
-  std::mutex exec_mu_;  ///< Serializes batch execution (see header note).
 
   std::unique_ptr<ResultCache> cache_;
 
   // Handles resolved once at construction; recording never allocates.
   obs::Counter* requests_;
-  obs::Counter* batches_;
   obs::Counter* cache_hits_;
   obs::Counter* cache_misses_;
-  obs::Histogram* occupancy_;
-  obs::Histogram* batch_timer_;
 };
 
 }  // namespace pup::serve

@@ -99,6 +99,35 @@ TEST(ObsTest, HistogramPercentileSingleValueIsItsBucket) {
   EXPECT_EQ(h1.Percentile(99.0), 1.0);
 }
 
+// Golden: percentiles never leave the observed range. One sample is its
+// own p50 and p99 (interpolating a 1000 ns sample's [512, 1023] bucket
+// alone gives 767.5 / 1021.5), and no percentile of a spread leaves
+// [min, max].
+TEST(ObsTest, HistogramPercentilesClampToObservedMinAndMax) {
+  Histogram one;
+  one.Observe(1000);
+  EXPECT_EQ(one.Min(), 1000u);
+  EXPECT_EQ(one.Max(), 1000u);
+  EXPECT_EQ(one.Percentile(0.0), 1000.0);
+  EXPECT_EQ(one.Percentile(50.0), 1000.0);
+  EXPECT_EQ(one.Percentile(99.0), 1000.0);
+  EXPECT_EQ(one.Percentile(100.0), 1000.0);
+
+  Histogram spread;
+  for (uint64_t v : {600u, 700u, 5000u}) spread.Observe(v);
+  EXPECT_EQ(spread.Percentile(100.0), 5000.0);  // Bucket top is 8191.
+  for (double p : {0.0, 1.0, 50.0, 90.0, 99.0}) {
+    EXPECT_GE(spread.Percentile(p), 600.0) << p;
+    EXPECT_LE(spread.Percentile(p), 5000.0) << p;
+  }
+
+  spread.Reset();
+  EXPECT_EQ(spread.Min(), 0u);
+  EXPECT_EQ(spread.Max(), 0u);
+  spread.Observe(3);
+  EXPECT_EQ(spread.Percentile(50.0), 3.0);
+}
+
 TEST(ObsTest, RegistryFindOrCreateReturnsStableHandles) {
   Registry reg;
   Counter* a = reg.GetCounter("x/a");

@@ -4,8 +4,8 @@
 //
 // The central property is the STRENGTHENED determinism contract of
 // docs/quantization.md: a quantized served ranking is bitwise-identical
-// across SIMD backends, thread counts, batch schedules, and cache
-// states — not merely per backend like the f32 GEMM path. The fastscan
+// across SIMD backends, thread counts, and cache states — not merely per
+// backend like the f32 path. The fastscan
 // kernels are cross-checked against a plain scalar reference of the
 // same integer math, and the serving tests compare full replies
 // (ids AND float scores) across every dispatch combination.
@@ -25,6 +25,7 @@
 #include "common/rng.h"
 #include "common/simd.h"
 #include "common/thread_pool.h"
+#include "counting_new.h"
 #include "data/quantization.h"
 #include "data/synthetic.h"
 #include "eval/topk.h"
@@ -523,14 +524,12 @@ TEST(ServeQuantTest, RepliesBitwiseIdenticalAcrossDispatchAndSchedule) {
     auto index = MakeQuantIndex(ds, mode);
     ASSERT_TRUE(index->quantized());
 
-    // Reference replies: scalar backend, serial pool, no batching/cache.
+    // Reference replies: scalar backend, serial pool, no cache.
     simd::SetActiveIsa(Isa::kOff);
     ThreadPool::SetGlobalThreads(1);
     std::vector<Ranked> ref(sample);
     {
       ServerOptions opt;
-      opt.max_batch = 1;
-      opt.batch_timeout_us = 0;
       opt.cache_capacity = 0;
       Server server(index, opt);
       RequestContext ctx(server);
@@ -549,28 +548,21 @@ TEST(ServeQuantTest, RepliesBitwiseIdenticalAcrossDispatchAndSchedule) {
       simd::SetActiveIsa(isa);
       for (int threads : {1, 4}) {
         ThreadPool::SetGlobalThreads(threads);
-        for (size_t batch : {size_t{1}, size_t{8}}) {
-          for (size_t cache : {size_t{0}, size_t{64}}) {
-            ServerOptions opt;
-            opt.max_batch = batch;
-            opt.batch_timeout_us = batch > 1 ? 50 : 0;
-            opt.cache_capacity = cache;
-            Server server(index, opt);
-            RequestContext ctx(server);
-            for (size_t u = 0; u < sample; ++u) {
-              // Twice when caching: the second hit must replay the
-              // identical reply.
-              const int passes = cache > 0 ? 2 : 1;
-              for (int p = 0; p < passes; ++p) {
-                Ranked got = ServeOne(&server, &ctx,
-                                      static_cast<uint32_t>(u), 10,
-                                      &exclude[u]);
-                ASSERT_EQ(got, ref[u])
-                    << la::QuantModeName(mode) << " isa="
-                    << simd::IsaName(isa) << " t=" << threads
-                    << " batch=" << batch << " cache=" << cache
-                    << " user " << u;
-              }
+        for (size_t cache : {size_t{0}, size_t{64}}) {
+          ServerOptions opt;
+          opt.cache_capacity = cache;
+          Server server(index, opt);
+          RequestContext ctx(server);
+          for (size_t u = 0; u < sample; ++u) {
+            // Twice when caching: the second hit must replay the
+            // identical reply.
+            const int passes = cache > 0 ? 2 : 1;
+            for (int p = 0; p < passes; ++p) {
+              Ranked got = ServeOne(&server, &ctx, static_cast<uint32_t>(u),
+                                    10, &exclude[u]);
+              ASSERT_EQ(got, ref[u])
+                  << la::QuantModeName(mode) << " isa=" << simd::IsaName(isa)
+                  << " t=" << threads << " cache=" << cache << " user " << u;
             }
           }
         }
@@ -586,8 +578,6 @@ TEST(ServeQuantTest, ConcurrentClientsMatchSerialReference) {
   const size_t sample = std::min<size_t>(ds.num_users, 32);
 
   ServerOptions opt;
-  opt.max_batch = 8;
-  opt.batch_timeout_us = 100;
   opt.cache_capacity = 0;
   Server server(index, opt);
 
@@ -640,8 +630,6 @@ TEST(ServeQuantTest, QuantizeSaveLoadScoreBitwiseRoundTrip) {
     auto reloaded =
         std::make_shared<const ServingIndex>(std::move(loaded).value());
     ServerOptions opt;
-    opt.max_batch = 1;
-    opt.batch_timeout_us = 0;
     Server a(index, opt);
     Server b(reloaded, opt);
     RequestContext actx(a);
@@ -711,8 +699,6 @@ TEST(ServeQuantTest, ExclusionsNeverSurviveTheRerank) {
   const std::vector<std::vector<uint32_t>> exclude = ds.UserItemLists();
   auto index = MakeQuantIndex(ds, la::QuantMode::kInt8);
   ServerOptions opt;
-  opt.max_batch = 1;
-  opt.batch_timeout_us = 0;
   Server server(index, opt);
   RequestContext ctx(server);
   const size_t sample = std::min<size_t>(ds.num_users, 32);
@@ -731,8 +717,6 @@ TEST(ServeQuantTest, RecallFloorAgainstExactF32) {
   data::Dataset ds = QuantDataset();
   auto f32 = MakeQuantIndex(ds, la::QuantMode::kOff);
   ServerOptions opt;
-  opt.max_batch = 1;
-  opt.batch_timeout_us = 0;
   opt.cache_capacity = 0;
   opt.max_k = 100;
   Server exact(f32, opt);
@@ -757,27 +741,43 @@ TEST(ServeQuantTest, RecallFloorAgainstExactF32) {
   }
 }
 
+// Counts every operator new on the request thread (counting_new.h) over
+// quantized full rankings, re-ranks and cold starts, with a 4-thread
+// kernel pool that no request may reach.
 TEST(ServeQuantAllocTest, SteadyStateQuantizedLoopDoesNotAllocate) {
+  struct PoolGuard {
+    ~PoolGuard() { ThreadPool::SetGlobalThreads(0); }
+  } pool_guard;
+  ThreadPool::SetGlobalThreads(4);
   data::Dataset ds = QuantDataset();
   const std::vector<std::vector<uint32_t>> exclude = ds.UserItemLists();
   auto index = MakeQuantIndex(ds, la::QuantMode::kInt4);
   const uint32_t k = 10;
   ServerOptions opt;
-  opt.max_batch = 1;  // Single-threaded loop: no batching waits.
-  opt.batch_timeout_us = 0;
   opt.cache_capacity = 32;
   opt.max_k = k;
   Server server(index, opt);
   RequestContext ctx(server);
   Reply reply;
   reply.Reserve(k);
+  std::vector<uint32_t> pool;
+  for (uint32_t id = 0; id < index->num_items(); id += 3) pool.push_back(id);
 
+  size_t served[3] = {0, 0, 0};
   auto serve_user = [&](size_t i) {
     Request req;
     req.user = static_cast<uint32_t>(i % index->num_users());
     req.k = k;
-    if (req.user < exclude.size()) req.exclude = &exclude[req.user];
+    if (i % 10 == 7) {
+      req.scenario = Scenario::kRerank;
+      req.candidates = &pool;
+    } else if (i % 10 == 9) {
+      req.user = static_cast<uint32_t>(index->num_users() + i);  // Unknown.
+    } else if (req.user < exclude.size()) {
+      req.exclude = &exclude[req.user];
+    }
     server.Rank(req, &ctx, &reply);
+    ++served[static_cast<size_t>(reply.served)];
   };
 
   // Warmup: first touches register obs handles and size every buffer.
@@ -785,14 +785,21 @@ TEST(ServeQuantAllocTest, SteadyStateQuantizedLoopDoesNotAllocate) {
 
   const la::AllocStats la_before = la::MatrixAllocStats();
   const uint64_t obs_before = obs::AllocationCount();
+  const uint64_t heap_before = pup::testing::ThreadHeapAllocations();
   for (size_t i = 0; i < 400; ++i) serve_user(i);
+  const uint64_t heap_after = pup::testing::ThreadHeapAllocations();
   const la::AllocStats la_after = la::MatrixAllocStats();
   const uint64_t obs_after = obs::AllocationCount();
 
+  EXPECT_EQ(heap_after - heap_before, 0u)
+      << "heap allocations in the quantized request loop";
   EXPECT_EQ(la_after.count - la_before.count, 0u)
       << "Matrix buffer allocations in the quantized request loop";
   EXPECT_EQ(obs_after - obs_before, 0u)
       << "obs registrations in the quantized request loop";
+  EXPECT_GT(served[static_cast<size_t>(Scenario::kFullRanking)], 0u);
+  EXPECT_GT(served[static_cast<size_t>(Scenario::kRerank)], 0u);
+  EXPECT_GT(served[static_cast<size_t>(Scenario::kColdStart)], 0u);
 }
 
 }  // namespace

@@ -2,11 +2,11 @@
 //
 // The central property is the determinism contract of docs/serving.md:
 // a served top-K list is bitwise-identical to the offline eval ranking
-// of the same index, at every (SIMD backend, client thread count, batch
-// schedule, cache state) combination. The reference rankings here are an
-// independent reimplementation (full std::sort under the library
-// tie-break rule), so the parity tests cross-check the serving path and
-// eval::TopKSelector against each other.
+// of the same index, at every (SIMD backend, client thread count, cache
+// state) combination, and across Reloads under load. The reference
+// rankings here are an independent reimplementation (full std::sort
+// under the library tie-break rule), so the parity tests cross-check the
+// serving path and eval::TopKSelector against each other.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,6 +23,7 @@
 #include "common/rng.h"
 #include "common/simd.h"
 #include "common/thread_pool.h"
+#include "counting_new.h"
 #include "data/quantization.h"
 #include "data/synthetic.h"
 #include "la/matrix.h"
@@ -288,11 +289,9 @@ TEST(ServeParityTest, ServedTopKMatchesOfflineEvalBitwise) {
 
   struct Config {
     int client_threads;
-    size_t max_batch;
     size_t cache;
   };
-  const Config configs[] = {
-      {1, 1, 0}, {1, 32, 128}, {4, 1, 0}, {4, 32, 0}, {4, 32, 128}};
+  const Config configs[] = {{1, 0}, {1, 128}, {4, 0}, {4, 128}};
 
   for (simd::Isa isa : {simd::Isa::kOff, simd::Isa::kNeon, simd::Isa::kAvx2,
                         simd::Isa::kAvx512}) {
@@ -307,8 +306,6 @@ TEST(ServeParityTest, ServedTopKMatchesOfflineEvalBitwise) {
     }
     for (const Config& cfg : configs) {
       ServerOptions opt;
-      opt.max_batch = cfg.max_batch;
-      opt.batch_timeout_us = 50;
       opt.cache_capacity = cfg.cache;
       opt.max_k = k;
       Server server(index, opt);
@@ -316,7 +313,6 @@ TEST(ServeParityTest, ServedTopKMatchesOfflineEvalBitwise) {
           RunParityClients(&server, refs, exclude, k, cfg.client_threads, 2);
       EXPECT_EQ(bad, 0u) << "isa=" << simd::IsaName(isa)
                          << " clients=" << cfg.client_threads
-                         << " batch=" << cfg.max_batch
                          << " cache=" << cfg.cache;
     }
   }
@@ -332,7 +328,6 @@ TEST(ServeParityTest, KernelThreadCountDoesNotChangeServedRankings) {
 
   auto serve_all = [&] {
     ServerOptions opt;
-    opt.max_batch = 1;
     opt.max_k = k;
     Server server(index, opt);
     RequestContext ctx(server);
@@ -374,7 +369,6 @@ TEST(ServeParityTest, RerankIsTheFullRankingRestrictedToThePool) {
   ASSERT_FALSE(trace.rerank_pools.empty());
 
   ServerOptions opt;
-  opt.max_batch = 4;
   opt.max_k = k;
   Server server(index, opt);
   RequestContext ctx(server);
@@ -414,7 +408,6 @@ TEST(ServeBehaviorTest, UnknownUserFallsBackToColdStartDeterministically) {
   auto index = MakeIndex(ds);
   const uint32_t k = 10;
   ServerOptions opt;
-  opt.max_batch = 1;
   opt.max_k = k;
   Server server(index, opt);
   RequestContext ctx(server);
@@ -481,12 +474,105 @@ TEST(CacheTest, MismatchedKOrGenerationMissesAndInvalidateDropsAll) {
   EXPECT_FALSE(cache.Lookup(3, 1, 7, &got_items, &got_scores));
 }
 
+// With capacity >= num_users every set has at least as many ways as users
+// mapping to it, so no insert order can evict anything. This is what keeps
+// a whole small catalog's users resident (1.2k users in 4096 slots).
+TEST(CacheTest, CapacityCoveringEveryUserNeverEvicts) {
+  const std::vector<uint32_t> items = {1};
+  const std::vector<float> scores = {1.0f};
+  std::vector<uint32_t> got_items;
+  std::vector<float> got_scores;
+  Rng rng(5);
+  for (size_t num_users : {1, 3, 5, 6, 7, 13, 64, 101, 1200}) {
+    for (size_t extra : {0, 1, 3, 9}) {
+      const size_t capacity = num_users + extra;
+      std::vector<uint32_t> order(num_users);
+      for (size_t u = 0; u < num_users; ++u) {
+        order[u] = static_cast<uint32_t>(u);
+      }
+      for (int pass = 0; pass < 3; ++pass) {
+        if (pass == 1) std::reverse(order.begin(), order.end());
+        if (pass == 2) rng.Shuffle(&order);
+        ResultCache cache(capacity, num_users, 4);
+        for (size_t i = 0; i < order.size(); ++i) {
+          cache.Insert(order[i], 1, 0, items, scores);
+          // Re-touching earlier users must not push anyone out either.
+          const uint32_t again = order[i / 2];
+          EXPECT_TRUE(cache.Lookup(again, 1, 0, &got_items, &got_scores));
+          cache.Insert(again, 1, 0, items, scores);
+        }
+        EXPECT_EQ(cache.size(), num_users)
+            << "capacity " << capacity << " pass " << pass;
+        for (size_t u = 0; u < num_users; ++u) {
+          EXPECT_TRUE(cache.Lookup(static_cast<uint32_t>(u), 1, 0,
+                                   &got_items, &got_scores))
+              << "user " << u << " evicted at capacity " << capacity
+              << " pass " << pass;
+        }
+      }
+    }
+  }
+}
+
+// 8 threads insert and look up overlapping users under eviction pressure,
+// with two k values and two generations. Every payload is a function of
+// its (user, k, generation) key, so a hit that returns anything else —
+// a torn copy, another user's entry, a stale k — is caught.
+TEST(CacheTest, ConcurrentLookupsReturnExactlyTheInsertedPayload) {
+  constexpr uint32_t kUsers = 96;
+  constexpr size_t kMaxK = 8;
+  ResultCache cache(24, kUsers, kMaxK);
+  auto payload = [](uint32_t user, uint32_t k, uint64_t gen,
+                    std::vector<uint32_t>* items,
+                    std::vector<float>* scores) {
+    items->clear();
+    scores->clear();
+    for (uint32_t i = 0; i < k; ++i) {
+      const uint32_t v = user * 1000 + k * 100 +
+                         static_cast<uint32_t>(gen) * 10 + i;
+      items->push_back(v);
+      scores->push_back(static_cast<float>(v) * 0.5f);
+    }
+  };
+  std::atomic<size_t> bad{0};
+  std::atomic<size_t> hits{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 8; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(100 + static_cast<uint64_t>(t));
+      std::vector<uint32_t> want_items, got_items;
+      std::vector<float> want_scores, got_scores;
+      want_items.reserve(kMaxK);
+      want_scores.reserve(kMaxK);
+      got_items.reserve(kMaxK);
+      got_scores.reserve(kMaxK);
+      for (int i = 0; i < 4000; ++i) {
+        const uint32_t user = static_cast<uint32_t>(rng.NextU64() % kUsers);
+        const uint32_t k = (rng.NextU64() & 1) != 0 ? 3 : kMaxK;
+        const uint64_t gen = rng.NextU64() & 1;
+        payload(user, k, gen, &want_items, &want_scores);
+        if (cache.Lookup(user, k, gen, &got_items, &got_scores)) {
+          hits.fetch_add(1, std::memory_order_relaxed);
+          if (got_items != want_items || got_scores != want_scores) {
+            bad.fetch_add(1, std::memory_order_relaxed);
+          }
+        } else {
+          cache.Insert(user, k, gen, want_items, want_scores);
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(bad.load(), 0u);
+  EXPECT_GT(hits.load(), 0u);
+  EXPECT_LE(cache.size(), cache.capacity());
+}
+
 TEST(ServeBehaviorTest, ReloadBumpsGenerationAndInvalidatesCache) {
   data::Dataset ds = SmallDataset();
   auto index = MakeIndex(ds);
   const uint32_t k = 10;
   ServerOptions opt;
-  opt.max_batch = 1;
   opt.cache_capacity = 16;
   opt.max_k = k;
   Server server(index, opt);
@@ -511,6 +597,82 @@ TEST(ServeBehaviorTest, ReloadBumpsGenerationAndInvalidatesCache) {
   EXPECT_TRUE(reply.cache_hit);
 }
 
+// Four clients rank while the main thread flips the server between two
+// indexes trained from different seeds. Every reply must be bitwise the
+// reference ranking of one of them (a request scores on the one snapshot
+// it took, and a cache hit replays an entry of the generation it looked
+// up), and a request issued after Reload returns must see the new index.
+TEST(ServeBehaviorTest, ReloadUnderLoadServesExactlyOneIndexPerReply) {
+  data::Dataset ds = SmallDataset();
+  auto index_a = MakeIndex(ds);
+  auto index_b = std::make_shared<const ServingIndex>(
+      ServingIndex::Freeze(MakeScorer(ds, 11), ds, "test-model-b"));
+  const std::vector<std::vector<uint32_t>> exclude = ds.UserItemLists();
+  const uint32_t k = 10;
+  const size_t sample = std::min<size_t>(index_a->num_users(), 48);
+  std::vector<Ranked> ref_a(sample), ref_b(sample);
+  for (size_t u = 0; u < sample; ++u) {
+    const uint32_t user = static_cast<uint32_t>(u);
+    ref_a[u] = EvalReference(*index_a, user, k, &exclude[u]);
+    ref_b[u] = EvalReference(*index_b, user, k, &exclude[u]);
+    ASSERT_FALSE(ref_a[u] == ref_b[u]) << "indexes agree for user " << u;
+  }
+
+  ServerOptions opt;
+  opt.cache_capacity = 32;
+  opt.max_k = k;
+  Server server(index_a, opt);
+  std::atomic<bool> stop{false};
+  std::atomic<size_t> bad{0};
+  std::atomic<size_t> served{0};
+  std::vector<std::thread> clients;
+  for (int t = 0; t < 4; ++t) {
+    clients.emplace_back([&, t] {
+      RequestContext ctx(server);
+      Reply reply;
+      reply.Reserve(k);
+      for (size_t i = static_cast<size_t>(t);
+           !stop.load(std::memory_order_relaxed); ++i) {
+        const size_t u = i % sample;
+        Request req;
+        req.user = static_cast<uint32_t>(u);
+        req.k = k;
+        req.exclude = &exclude[u];
+        server.Rank(req, &ctx, &reply);
+        const Ranked got{reply.items, reply.scores};
+        if (!(got == ref_a[u]) && !(got == ref_b[u])) {
+          bad.fetch_add(1, std::memory_order_relaxed);
+        }
+        served.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+
+  RequestContext ctx(server);
+  Reply reply;
+  reply.Reserve(k);
+  size_t stale = 0;
+  for (int r = 0; r < 200; ++r) {
+    const bool to_b = r % 2 == 0;
+    server.Reload(to_b ? index_b : index_a);
+    const size_t u = static_cast<size_t>(r) % sample;
+    Request req;
+    req.user = static_cast<uint32_t>(u);
+    req.k = k;
+    req.exclude = &exclude[u];
+    server.Rank(req, &ctx, &reply);
+    const Ranked got{reply.items, reply.scores};
+    if (!(got == (to_b ? ref_b[u] : ref_a[u]))) ++stale;
+    std::this_thread::yield();
+  }
+  stop.store(true, std::memory_order_relaxed);
+  for (std::thread& c : clients) c.join();
+
+  EXPECT_EQ(stale, 0u) << "request after Reload saw the old index";
+  EXPECT_EQ(bad.load(), 0u) << "reply matching neither index";
+  EXPECT_GT(served.load(), 0u);
+}
+
 // Regression test: ZipfSampler used to underflow `cdf_.size() - 1` on an
 // empty user population (n == 0 made the std::min clamp a no-op against
 // SIZE_MAX), reading past an empty vector at the first draw. The guard
@@ -528,63 +690,23 @@ TEST(TraceDeathTest, RejectsEmptyUserOrItemPopulation) {
 }
 
 // ---------------------------------------------------------------------------
-// Micro-batching
-// ---------------------------------------------------------------------------
-
-TEST(ServeBehaviorTest, ConcurrentRequestsCoalesceIntoSharedBatches) {
-  data::Dataset ds = SmallDataset();
-  auto index = MakeIndex(ds);
-  ServerOptions opt;
-  opt.max_batch = 8;
-  opt.batch_timeout_us = 5000;  // Generous: the test wants coalescing.
-  opt.max_k = 10;
-  Server server(index, opt);
-
-  obs::Registry& reg = obs::Registry::Global();
-  const uint64_t requests_before = reg.GetCounter("serve/requests")->Get();
-  const uint64_t batches_before = reg.GetCounter("serve/batches")->Get();
-
-  constexpr int kClients = 8;
-  constexpr int kRequestsPerClient = 50;
-  std::vector<std::thread> clients;
-  for (int t = 0; t < kClients; ++t) {
-    clients.emplace_back([&, t] {
-      RequestContext ctx(server);
-      Reply reply;
-      reply.Reserve(opt.max_k);
-      for (int i = 0; i < kRequestsPerClient; ++i) {
-        Request req;
-        req.user = static_cast<uint32_t>((t * kRequestsPerClient + i) %
-                                         index->num_users());
-        req.k = 10;
-        server.Rank(req, &ctx, &reply);
-      }
-    });
-  }
-  for (std::thread& c : clients) c.join();
-
-  const uint64_t requests =
-      reg.GetCounter("serve/requests")->Get() - requests_before;
-  const uint64_t batches =
-      reg.GetCounter("serve/batches")->Get() - batches_before;
-  EXPECT_EQ(requests, static_cast<uint64_t>(kClients * kRequestsPerClient));
-  // With 8 concurrent clients and serialized execution, batches must
-  // coalesce: strictly fewer batches than requests.
-  EXPECT_LT(batches, requests);
-  EXPECT_GE(batches, 1u);
-}
-
-// ---------------------------------------------------------------------------
 // Zero-allocation steady state
 // ---------------------------------------------------------------------------
 
+// Counts every operator new on the request thread (counting_new.h), not
+// only Matrix buffers and obs registrations, over mixed traffic — full
+// ranking, re-rank, cold start, cache hits and misses — with a 4-thread
+// kernel pool: a request that reached the pool would allocate its
+// ParallelFor state here.
 TEST(ServeAllocTest, SteadyStateRequestLoopDoesNotAllocate) {
+  struct PoolGuard {
+    ~PoolGuard() { ThreadPool::SetGlobalThreads(0); }
+  } pool_guard;
+  ThreadPool::SetGlobalThreads(4);
   data::Dataset ds = SmallDataset();
   auto index = MakeIndex(ds);
   const uint32_t k = 10;
   ServerOptions opt;
-  opt.max_batch = 1;  // Single-threaded loop: no batching waits.
-  opt.batch_timeout_us = 0;
   opt.cache_capacity = 32;
   opt.max_k = k;
   Server server(index, opt);
@@ -599,6 +721,8 @@ TEST(ServeAllocTest, SteadyStateRequestLoopDoesNotAllocate) {
   Trace trace = GenerateTrace(tc);
   const std::vector<std::vector<uint32_t>> exclude = ds.UserItemLists();
 
+  size_t served[3] = {0, 0, 0};
+  size_t hits = 0;
   auto serve_event = [&](const TraceEvent& ev) {
     Request req;
     req.user = ev.user;
@@ -610,6 +734,8 @@ TEST(ServeAllocTest, SteadyStateRequestLoopDoesNotAllocate) {
       req.exclude = &exclude[ev.user];
     }
     server.Rank(req, &ctx, &reply);
+    ++served[static_cast<size_t>(reply.served)];
+    hits += reply.cache_hit ? 1 : 0;
   };
 
   // Warmup: first touches register obs handles and size every buffer.
@@ -617,16 +743,31 @@ TEST(ServeAllocTest, SteadyStateRequestLoopDoesNotAllocate) {
 
   const la::AllocStats la_before = la::MatrixAllocStats();
   const uint64_t obs_before = obs::AllocationCount();
+  const uint64_t heap_before = pup::testing::ThreadHeapAllocations();
   for (size_t i = 0; i < trace.events.size(); ++i) {
     serve_event(trace.events[i]);
   }
+  const uint64_t heap_after = pup::testing::ThreadHeapAllocations();
   const la::AllocStats la_after = la::MatrixAllocStats();
   const uint64_t obs_after = obs::AllocationCount();
 
+  EXPECT_EQ(heap_after - heap_before, 0u)
+      << "heap allocations in the steady-state request loop";
   EXPECT_EQ(la_after.count - la_before.count, 0u)
       << "Matrix buffer allocations in the steady-state request loop";
   EXPECT_EQ(obs_after - obs_before, 0u)
       << "obs registrations in the steady-state request loop";
+  EXPECT_GT(served[static_cast<size_t>(Scenario::kFullRanking)], 0u);
+  EXPECT_GT(served[static_cast<size_t>(Scenario::kRerank)], 0u);
+  EXPECT_GT(served[static_cast<size_t>(Scenario::kColdStart)], 0u);
+  EXPECT_GT(hits, 0u);
+}
+
+// The counter itself: a loop that does allocate must register.
+TEST(ServeAllocTest, HeapCounterSeesAllocations) {
+  const uint64_t before = pup::testing::ThreadHeapAllocations();
+  auto p = std::make_unique<std::vector<int>>(8);
+  EXPECT_GE(pup::testing::ThreadHeapAllocations() - before, 2u);
 }
 
 }  // namespace

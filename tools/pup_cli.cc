@@ -14,16 +14,17 @@
 //       fit on train → report Recall/NDCG on the test split.
 //
 //   serve    --index FILE [--topk N] [--requests N] [--clients N]
-//            [--batch B] [--timeout-us T] [--cache N] [--zipf S] [--seed N]
-//            [--quant off|int8|int4] [--rerank R]
+//            [--cache N] [--zipf S] [--seed N] [--quant off|int8|int4]
+//            [--rerank R]
 //       Loads a frozen serving index and drives it closed-loop with a
 //       synthetic Zipfian trace, reporting QPS and latency percentiles.
 //       --quant requantizes the loaded index's item table (overriding
 //       whatever the file stored); --rerank sets the survivor factor of
-//       the quantized fastscan path (docs/quantization.md).
+//       the quantized fastscan path (docs/quantization.md). Each client
+//       thread's requests run on that thread.
 //
-// Unknown subcommands and unknown/misspelled flags are rejected with the
-// usage message and exit code 2.
+// Unknown subcommands, unknown/misspelled flags, and out-of-range serve
+// sizes are rejected with the usage message and exit code 2.
 //
 // Examples:
 //   pup_cli generate --out-dir /tmp/world --preset beibei --scale 0.3
@@ -79,9 +80,9 @@ int Usage() {
                "                     [--quant off|int8|int4 (with "
                "--export-index)]\n"
                "       pup_cli serve --index FILE [--topk N] [--requests N] "
-               "[--clients N] [--batch B]\n"
-               "                     [--timeout-us T] [--cache N] [--zipf S] "
-               "[--seed N] [--quant off|int8|int4] [--rerank R]\n"
+               "[--clients N] [--cache N]\n"
+               "                     [--zipf S] [--seed N] "
+               "[--quant off|int8|int4] [--rerank R]\n"
                "       global: --threads N (default: hardware concurrency; "
                "1 = exact serial)\n"
                "               --simd=auto|off|neon|avx2|avx512 kernel "
@@ -361,23 +362,26 @@ int RunTrain(const Flags& flags) {
 
 int RunServe(const Flags& flags) {
   std::string index_path = flags.GetString("index", "");
-  uint32_t topk = static_cast<uint32_t>(flags.GetInt("topk", 10));
-  size_t num_requests = static_cast<size_t>(flags.GetInt("requests", 20000));
-  int clients = static_cast<int>(flags.GetInt("clients", 4));
-  serve::ServerOptions opt;
-  opt.max_batch = static_cast<size_t>(flags.GetInt("batch", 32));
-  opt.batch_timeout_us =
-      static_cast<uint64_t>(flags.GetInt("timeout-us", 100));
-  opt.cache_capacity = static_cast<size_t>(flags.GetInt("cache", 4096));
-  opt.max_k = std::max<size_t>(topk, 1);
-  opt.rerank_factor =
-      static_cast<size_t>(std::max<int64_t>(flags.GetInt("rerank", 4), 1));
+  const int64_t topk = flags.GetInt("topk", 10);
+  const int64_t num_requests = flags.GetInt("requests", 20000);
+  const int64_t clients = flags.GetInt("clients", 4);
+  const int64_t cache = flags.GetInt("cache", 4096);
+  const int64_t rerank = flags.GetInt("rerank", 4);
   double zipf = flags.GetDouble("zipf", 1.1);
   uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
   // Empty = serve whatever quantization the index file stored.
   std::string quant_name = flags.GetString("quant", "");
   if (int rc = RejectUnknownFlags(flags); rc != 0) return rc;
-  if (index_path.empty() || topk == 0 || clients < 1) return Usage();
+  // Sizes are cast to size_t below, so a negative value must never get
+  // that far: --cache -1 would ask for SIZE_MAX cache entries.
+  if (index_path.empty() || topk < 1 || num_requests < 1 || clients < 1 ||
+      cache < 0 || rerank < 1) {
+    return Usage();
+  }
+  serve::ServerOptions opt;
+  opt.cache_capacity = static_cast<size_t>(cache);
+  opt.max_k = static_cast<size_t>(topk);
+  opt.rerank_factor = static_cast<size_t>(rerank);
 
   auto loaded = serve::ServingIndex::Load(index_path);
   if (!loaded.ok()) {
@@ -409,7 +413,7 @@ int RunServe(const Flags& flags) {
               la::QuantModeName(index->quant_mode()));
 
   serve::TraceConfig tc;
-  tc.num_events = num_requests;
+  tc.num_events = static_cast<size_t>(num_requests);
   tc.num_users = index->num_users();
   tc.num_items = index->num_items();
   tc.zipf_s = zipf;
@@ -434,7 +438,7 @@ int RunServe(const Flags& flags) {
         const serve::TraceEvent& ev = trace.events[i];
         serve::Request req;
         req.user = ev.user;
-        req.k = topk;
+        req.k = static_cast<uint32_t>(topk);
         req.scenario = ev.scenario;
         if (ev.scenario == serve::Scenario::kRerank) {
           req.candidates = &trace.rerank_pools[ev.pool];
@@ -451,8 +455,6 @@ int RunServe(const Flags& flags) {
 
   const uint64_t hits = reg.GetCounter("serve/cache_hit")->Get();
   const uint64_t misses = reg.GetCounter("serve/cache_miss")->Get();
-  const uint64_t batches = reg.GetCounter("serve/batches")->Get();
-  const uint64_t batched = reg.GetHistogram("serve/batch_occupancy")->Sum();
   TextTable table({"metric", "value"});
   table.AddRow({"requests", std::to_string(trace.events.size())});
   table.AddRow({"clients", std::to_string(clients)});
@@ -462,12 +464,6 @@ int RunServe(const Flags& flags) {
   table.AddRow({"p50_us", FormatFixed(latency->Percentile(50) / 1e3, 1)});
   table.AddRow({"p95_us", FormatFixed(latency->Percentile(95) / 1e3, 1)});
   table.AddRow({"p99_us", FormatFixed(latency->Percentile(99) / 1e3, 1)});
-  table.AddRow(
-      {"batch_occupancy",
-       FormatFixed(batches > 0 ? static_cast<double>(batched) /
-                                     static_cast<double>(batches)
-                               : 0.0,
-                   2)});
   table.AddRow(
       {"cache_hit_rate",
        FormatFixed(hits + misses > 0
