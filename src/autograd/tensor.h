@@ -101,6 +101,13 @@ class Node {
     grad_live_ = false;
   }
 
+  /// Frees the gradient buffer and ends its live range; the next
+  /// EnsureGrad allocates a fresh one.
+  void ReleaseGrad() {
+    grad = la::Matrix();
+    grad_live_ = false;
+  }
+
   /// Clears graph topology and op state so an arena can hand this node
   /// out again. Buffers (value/grad/aux/idx) keep their capacity — the
   /// whole point of recycling.

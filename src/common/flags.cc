@@ -1,6 +1,7 @@
 #include "common/flags.h"
 
-#include <cstdlib>
+#include <charconv>
+#include <cmath>
 
 #include "common/check.h"
 #include "common/simd.h"
@@ -41,16 +42,37 @@ std::string Flags::GetString(const std::string& name,
   return it == values_.end() ? fallback : it->second;
 }
 
+namespace {
+
+// Parses all of `text` as a T; false on junk, a partial parse, or a
+// value out of T's range.
+template <typename T>
+bool ParseWhole(const std::string& text, T* out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc() && ptr == end;
+}
+
+}  // namespace
+
 int64_t Flags::GetInt(const std::string& name, int64_t fallback) const {
   queried_[name] = true;
   auto it = values_.find(name);
-  return it == values_.end() ? fallback : std::atoll(it->second.c_str());
+  if (it == values_.end()) return fallback;
+  int64_t v = 0;
+  if (ParseWhole(it->second, &v)) return v;
+  malformed_.insert(name);
+  return fallback;
 }
 
 double Flags::GetDouble(const std::string& name, double fallback) const {
   queried_[name] = true;
   auto it = values_.find(name);
-  return it == values_.end() ? fallback : std::atof(it->second.c_str());
+  if (it == values_.end()) return fallback;
+  double v = 0.0;
+  if (ParseWhole(it->second, &v) && std::isfinite(v)) return v;
+  malformed_.insert(name);
+  return fallback;
 }
 
 bool Flags::GetBool(const std::string& name, bool fallback) const {
@@ -66,6 +88,14 @@ std::vector<std::string> Flags::UnusedFlags() const {
     if (!queried_.count(key)) unused.push_back(key);
   }
   return unused;
+}
+
+std::vector<std::string> Flags::MalformedFlags() const {
+  std::vector<std::string> bad;
+  for (const std::string& key : malformed_) {
+    bad.push_back("--" + key + "=" + values_.at(key));
+  }
+  return bad;
 }
 
 void ApplyThreadsFlag(const Flags& flags) {

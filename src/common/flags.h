@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -23,7 +24,11 @@ class Flags {
   /// True if --name was present (with or without a value).
   bool Has(const std::string& name) const;
 
-  /// Typed getters; return `fallback` when the flag is absent.
+  /// Typed getters; return `fallback` when the flag is absent. A numeric
+  /// value must be the whole string: a decimal integer for GetInt, a
+  /// finite decimal number for GetDouble, in range of the type. Anything
+  /// else ("abc", "5x", "", overflow) also returns `fallback` and is
+  /// recorded for MalformedFlags().
   std::string GetString(const std::string& name,
                         const std::string& fallback) const;
   int64_t GetInt(const std::string& name, int64_t fallback) const;
@@ -36,9 +41,14 @@ class Flags {
   /// Flags that were provided but never queried — typo detection.
   std::vector<std::string> UnusedFlags() const;
 
+  /// Numeric flags whose value failed to parse, as "--name=value"
+  /// (sorted by name). Callers reject the command line when non-empty.
+  std::vector<std::string> MalformedFlags() const;
+
  private:
   std::map<std::string, std::string> values_;
   mutable std::map<std::string, bool> queried_;
+  mutable std::set<std::string> malformed_;
   std::vector<std::string> positional_;
 };
 

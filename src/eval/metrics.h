@@ -25,6 +25,15 @@ class Scorer {
   /// so implementations must be safe to call concurrently from multiple
   /// threads (pure const reads of model state).
   virtual void ScoreItems(uint32_t user, std::vector<float>* out) const = 0;
+
+  /// Scores a block of users: `out` is resized to n * num_items and row r,
+  /// at out->data() + r * num_items, holds exactly what ScoreItems writes
+  /// for users[r]. The evaluators call this once per 16-user block. The
+  /// default runs ScoreItems row by row; dot-product models override it
+  /// with one pass over their item table (models::Recommender). Same
+  /// thread-safety contract as ScoreItems.
+  virtual void ScoreUsers(const uint32_t* users, size_t n,
+                          std::vector<float>* out) const;
 };
 
 /// Recall and NDCG at one cutoff.
@@ -48,7 +57,8 @@ struct EvalResult {
 ///
 /// `exclude_items[u]` (typically the user's train items, sorted) are
 /// removed from u's candidate set; `test_items[u]` (sorted) are the
-/// positives. Users with empty test sets are skipped.
+/// positives. Users with empty test sets are skipped. Cutoffs must be
+/// >= 0; a repeated cutoff is reported once.
 EvalResult EvaluateRanking(
     const Scorer& scorer, size_t num_users, size_t num_items,
     const std::vector<std::vector<uint32_t>>& exclude_items,

@@ -12,9 +12,9 @@
 //
 // Determinism classes (enforced by tests/simd_test.cc):
 //  * Order-preserving: gemm_rows / gemm_ta_rows vectorize across the
-//    output columns j — each out(i,j) sees the exact scalar operation
-//    sequence (mul then add per p, never FMA), so every backend is
-//    bitwise-identical to scalar.
+//    output columns j, and panel_score across the 16 items of a panel —
+//    each output sees the exact scalar operation sequence (mul then add
+//    per p, never FMA), so every backend is bitwise-identical to scalar.
 //  * Lane-reduced: gemm_tb_rows / gemv_rows / row_dot / row_dot_diff
 //    accumulate dot products in W lane accumulators (tail elements
 //    enter as zero-padded lanes) and reduce them in pinned lane order
@@ -120,6 +120,17 @@ struct Backend {
   void (*rerank_dot_rows)(const float* items, size_t stride,
                           const float* query, const uint32_t* ids, float* out,
                           size_t lo, size_t hi, size_t d);
+  // Item-panel block scoring (la/item_panels.h). `panels` holds
+  // num_panels panels of d x 16 floats ([panel][p][lane], 64-byte
+  // aligned), `bias` num_panels * 16 floats; lanes past num_items are
+  // zero in both. For r in [0, n) and i in [0, num_items):
+  //   out[r * out_stride + i] = bias[i] + users[r][0] * v_i[0] + ...
+  // added left to right, one mul then one add per p. Lanes past
+  // num_items are never stored.
+  void (*panel_score)(const float* panels, const float* bias,
+                      size_t num_panels, size_t d, size_t num_items,
+                      const float* const* users, size_t n, float* out,
+                      size_t out_stride);
 };
 
 /// Table for the process-wide active ISA (common/simd.h). Bumps the

@@ -461,6 +461,84 @@ void RerankDotRows(const float* items, size_t stride, const float* query,
   }
 }
 
+// Item-panel block scoring. A 16-item panel is two vectors; each
+// hardware lane is one item's accumulator, seeded with its bias and fed
+// mul-then-add in ascending p — the scalar lane sequence, so bitwise
+// equal to it. A tile of U users x one panel keeps 2U accumulators in
+// registers (U = 4: eight, plus the two panel vectors, within the 16
+// ymm registers) and loads each panel row once per tile.
+template <size_t U>
+inline void PanelTile(const float* panel, size_t d, const float* bias,
+                      const float* const* users, float* out,
+                      size_t out_stride, size_t live) {
+  __m256 acc[U][2];
+  const __m256 b0 = _mm256_load_ps(bias);
+  const __m256 b1 = _mm256_load_ps(bias + kW);
+#pragma GCC unroll 4
+  for (size_t u = 0; u < U; ++u) {
+    acc[u][0] = b0;
+    acc[u][1] = b1;
+  }
+  for (size_t p = 0; p < d; ++p) {
+    const __m256 v0 = _mm256_load_ps(panel + p * 2 * kW);
+    const __m256 v1 = _mm256_load_ps(panel + p * 2 * kW + kW);
+#pragma GCC unroll 4
+    for (size_t u = 0; u < U; ++u) {
+      const __m256 s = _mm256_set1_ps(users[u][p]);
+      acc[u][0] = _mm256_add_ps(acc[u][0], _mm256_mul_ps(s, v0));
+      acc[u][1] = _mm256_add_ps(acc[u][1], _mm256_mul_ps(s, v1));
+    }
+  }
+  if (live >= 2 * kW) {
+#pragma GCC unroll 4
+    for (size_t u = 0; u < U; ++u) {
+      _mm256_storeu_ps(out + u * out_stride, acc[u][0]);
+      _mm256_storeu_ps(out + u * out_stride + kW, acc[u][1]);
+    }
+    return;
+  }
+  const __m256i m0 = TailMask(std::min(live, kW));
+  const __m256i m1 = TailMask(live > kW ? live - kW : 0);
+#pragma GCC unroll 4
+  for (size_t u = 0; u < U; ++u) {
+    _mm256_maskstore_ps(out + u * out_stride, m0, acc[u][0]);
+    _mm256_maskstore_ps(out + u * out_stride + kW, m1, acc[u][1]);
+  }
+}
+
+// Panels outer, users inner (tiles of 4, then one tile of the rest): one
+// panel (4 KiB at d = 64) stays in L1 while every user of the block
+// streams past it.
+void PanelScore(const float* panels, const float* bias, size_t num_panels,
+                size_t d, size_t num_items, const float* const* users,
+                size_t n, float* out, size_t out_stride) {
+  constexpr size_t kP = 2 * kW;
+  for (size_t b = 0; b < num_panels; ++b) {
+    const float* panel = panels + b * d * kP;
+    const float* pbias = bias + b * kP;
+    const size_t live = num_items - b * kP;
+    size_t r = 0;
+    for (; r + 4 <= n; r += 4) {
+      PanelTile<4>(panel, d, pbias, users + r, out + r * out_stride + b * kP,
+                   out_stride, live);
+    }
+    float* rest = out + r * out_stride + b * kP;
+    switch (n - r) {
+      case 3:
+        PanelTile<3>(panel, d, pbias, users + r, rest, out_stride, live);
+        break;
+      case 2:
+        PanelTile<2>(panel, d, pbias, users + r, rest, out_stride, live);
+        break;
+      case 1:
+        PanelTile<1>(panel, d, pbias, users + r, rest, out_stride, live);
+        break;
+      default:
+        break;
+    }
+  }
+}
+
 }  // namespace
 
 const Backend& Avx2Backend() {
@@ -482,6 +560,7 @@ const Backend& Avx2Backend() {
       &QdotI8Rows,
       &QdotI4Rows,
       &RerankDotRows,
+      &PanelScore,
   };
   return table;
 }

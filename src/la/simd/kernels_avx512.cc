@@ -409,6 +409,93 @@ void RerankDotRows(const float* items, size_t stride, const float* query,
   }
 }
 
+// Item-panel block scoring. One panel is one vector: each hardware lane
+// is one item's accumulator, seeded with its bias and fed mul-then-add
+// in ascending p — the scalar lane sequence, so bitwise equal to it.
+// A tile of U users x P panels keeps U * P independent accumulators in
+// registers (4 x 2 = 8 hides the add latency without FMA) and loads each
+// panel row once per tile.
+template <size_t U, size_t P>
+inline void PanelTile(const float* panel, size_t d, const float* bias,
+                      const float* const* users, float* out,
+                      size_t out_stride, size_t live) {
+  __m512 acc[U][P];
+#pragma GCC unroll 2
+  for (size_t q = 0; q < P; ++q) {
+    const __m512 b = _mm512_load_ps(bias + q * kW);
+#pragma GCC unroll 4
+    for (size_t u = 0; u < U; ++u) acc[u][q] = b;
+  }
+  const size_t panel_floats = d * kW;
+  for (size_t p = 0; p < d; ++p) {
+    __m512 v[P];
+#pragma GCC unroll 2
+    for (size_t q = 0; q < P; ++q) {
+      v[q] = _mm512_load_ps(panel + q * panel_floats + p * kW);
+    }
+#pragma GCC unroll 4
+    for (size_t u = 0; u < U; ++u) {
+      const __m512 s = _mm512_set1_ps(users[u][p]);
+#pragma GCC unroll 2
+      for (size_t q = 0; q < P; ++q) {
+        acc[u][q] = _mm512_add_ps(acc[u][q], _mm512_mul_ps(s, v[q]));
+      }
+    }
+  }
+#pragma GCC unroll 2
+  for (size_t q = 0; q < P; ++q) {
+    if (live <= q * kW) break;
+    const size_t lanes = std::min(kW, live - q * kW);
+    const __mmask16 m = static_cast<__mmask16>((1u << lanes) - 1u);
+#pragma GCC unroll 4
+    for (size_t u = 0; u < U; ++u) {
+      _mm512_mask_storeu_ps(out + u * out_stride + q * kW, m, acc[u][q]);
+    }
+  }
+}
+
+// Users of one panel group in tiles of 4, then one tile of the rest.
+template <size_t P>
+inline void PanelUsers(const float* panel, size_t d, const float* bias,
+                       const float* const* users, size_t n, float* out,
+                       size_t out_stride, size_t live) {
+  size_t r = 0;
+  for (; r + 4 <= n; r += 4) {
+    PanelTile<4, P>(panel, d, bias, users + r, out + r * out_stride,
+                    out_stride, live);
+  }
+  float* rest = out + r * out_stride;
+  switch (n - r) {
+    case 3:
+      PanelTile<3, P>(panel, d, bias, users + r, rest, out_stride, live);
+      break;
+    case 2:
+      PanelTile<2, P>(panel, d, bias, users + r, rest, out_stride, live);
+      break;
+    case 1:
+      PanelTile<1, P>(panel, d, bias, users + r, rest, out_stride, live);
+      break;
+    default:
+      break;
+  }
+}
+
+// Panels outer, users inner: a pair of panels (8 KiB at d = 64) stays in
+// L1 while every user of the block streams past it.
+void PanelScore(const float* panels, const float* bias, size_t num_panels,
+                size_t d, size_t num_items, const float* const* users,
+                size_t n, float* out, size_t out_stride) {
+  size_t b = 0;
+  for (; b + 2 <= num_panels; b += 2) {
+    PanelUsers<2>(panels + b * d * kW, d, bias + b * kW, users, n,
+                  out + b * kW, out_stride, num_items - b * kW);
+  }
+  if (b < num_panels) {
+    PanelUsers<1>(panels + b * d * kW, d, bias + b * kW, users, n,
+                  out + b * kW, out_stride, num_items - b * kW);
+  }
+}
+
 }  // namespace
 
 const Backend& Avx512Backend() {
@@ -430,6 +517,7 @@ const Backend& Avx512Backend() {
       &QdotI8Rows,
       &QdotI4Rows,
       &RerankDotRows,
+      &PanelScore,
   };
   return table;
 }

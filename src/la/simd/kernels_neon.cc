@@ -350,6 +350,9 @@ const Backend& NeonBackend() {
       &QdotI8Rows,
       &QdotI4Rows,
       &RerankDotRows,
+      // No NEON panel kernel: no CI job compiles this file, so the
+      // order-preserving scalar loop serves (bitwise the same scores).
+      ScalarBackend().panel_score,
   };
   return table;
 }

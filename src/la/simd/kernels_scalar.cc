@@ -208,6 +208,32 @@ void RerankDotRows(const float* items, size_t stride, const float* query,
   }
 }
 
+// Item-panel block scoring: one accumulator per item lane, seeded with
+// the bias and fed u[p] * v[p] in ascending p — the historical
+// DotScorer loop, lane by lane. The vector backends run this exact
+// sequence with one item per vector lane, so they match it bitwise.
+void PanelScore(const float* panels, const float* bias, size_t num_panels,
+                size_t d, size_t num_items, const float* const* users,
+                size_t n, float* out, size_t out_stride) {
+  constexpr size_t kP = 16;
+  for (size_t b = 0; b < num_panels; ++b) {
+    const float* panel = panels + b * d * kP;
+    const size_t i0 = b * kP;
+    const size_t live = std::min(kP, num_items - i0);
+    for (size_t r = 0; r < n; ++r) {
+      const float* u = users[r];
+      float acc[kP];
+      for (size_t l = 0; l < kP; ++l) acc[l] = bias[i0 + l];
+      for (size_t p = 0; p < d; ++p) {
+        const float up = u[p];
+        const float* v = panel + p * kP;
+        for (size_t l = 0; l < kP; ++l) acc[l] += up * v[l];
+      }
+      std::copy(acc, acc + live, out + r * out_stride + i0);
+    }
+  }
+}
+
 }  // namespace
 
 const Backend& ScalarBackend() {
@@ -229,6 +255,7 @@ const Backend& ScalarBackend() {
       &QdotI8Rows,
       &QdotI4Rows,
       &RerankDotRows,
+      &PanelScore,
   };
   return table;
 }

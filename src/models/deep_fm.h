@@ -37,6 +37,10 @@ class DeepFm : public Fm {
 
   void ScoreItems(uint32_t user, std::vector<float>* out) const override;
 
+  /// None: the MLP term has no dot-product form, and the inherited FM
+  /// scorer alone would serve (and evaluate) rankings without it.
+  const DotScorer* ExportScorer() const override { return nullptr; }
+
   std::vector<ag::Tensor> Parameters() override;
   BatchGraph ForwardBatch(const std::vector<uint32_t>& users,
                           const std::vector<uint32_t>& pos_items,

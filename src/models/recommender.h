@@ -34,6 +34,20 @@ class Recommender : public eval::Scorer {
   /// serving layer freezes this into an immutable ServingIndex
   /// (src/serve); the pointer remains owned by the model.
   virtual const DotScorer* ExportScorer() const { return nullptr; }
+
+  /// Scores through ExportScorer()'s item panels when the model has one
+  /// — its ScoreItems is that scorer's, bitwise (models_test pins this
+  /// for every model) — and row by row through ScoreItems otherwise.
+  void ScoreUsers(const uint32_t* users, size_t n,
+                  std::vector<float>* out) const override {
+    const DotScorer* dot = ExportScorer();
+    if (dot == nullptr) {
+      eval::Scorer::ScoreUsers(users, n, out);
+      return;
+    }
+    out->resize(n * dot->num_items());
+    dot->ScoreUsers(users, n, out->data());
+  }
 };
 
 }  // namespace pup::models

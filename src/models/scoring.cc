@@ -1,5 +1,7 @@
 #include "models/scoring.h"
 
+#include <algorithm>
+
 #include "common/check.h"
 #include "la/io.h"
 
@@ -7,32 +9,39 @@ namespace pup::models {
 
 DotScorer::DotScorer(la::Matrix user_vecs, la::Matrix item_vecs,
                      std::vector<float> item_bias)
-    : user_vecs_(std::move(user_vecs)),
-      item_vecs_(std::move(item_vecs)),
-      item_bias_(std::move(item_bias)) {
-  PUP_CHECK_EQ(user_vecs_.cols(), item_vecs_.cols());
+    : user_vecs_(std::move(user_vecs)), item_bias_(std::move(item_bias)) {
+  PUP_CHECK_EQ(user_vecs_.cols(), item_vecs.cols());
   if (!item_bias_.empty()) {
-    PUP_CHECK_EQ(item_bias_.size(), item_vecs_.rows());
+    PUP_CHECK_EQ(item_bias_.size(), item_vecs.rows());
   }
+  panels_ = la::ItemPanels(
+      item_vecs, item_bias_.empty() ? nullptr : item_bias_.data());
 }
 
 void DotScorer::ScoreItems(uint32_t user, std::vector<float>* out) const {
+  out->resize(num_items());
+  ScoreUsers(&user, 1, out->data());
+}
+
+// Keeps the historical bias-seeded accumulation order (bias, then
+// u[p] * v[p] added for ascending p): the serial regression goldens pin
+// this exact float sequence, and the panel kernel reproduces it on every
+// backend. The serving layer freezes these tables and scores them
+// through la::ScoreItemsForUser (dot first, bias after); its parity
+// contract is defined against IndexScorer, which uses that same kernel —
+// see docs/serving.md.
+void DotScorer::ScoreUsers(const uint32_t* users, size_t n, float* out) const {
   PUP_CHECK_MSG(initialized(), "DotScorer used before Fit");
-  PUP_CHECK(user < user_vecs_.rows());
-  // Keeps the historical bias-seeded accumulation order: the serial
-  // regression goldens pin this exact float sequence. The serving layer
-  // freezes these tables and scores them through la::ScoreItemsForUser
-  // (dot first, bias after); its parity contract is defined against
-  // IndexScorer, which uses that same kernel — see docs/serving.md.
-  const size_t n = item_vecs_.rows();
-  const size_t d = item_vecs_.cols();
-  out->assign(n, 0.0f);
-  const float* u = user_vecs_.Row(user);
-  for (size_t i = 0; i < n; ++i) {
-    const float* v = item_vecs_.Row(i);
-    float acc = item_bias_.empty() ? 0.0f : item_bias_[i];
-    for (size_t j = 0; j < d; ++j) acc += u[j] * v[j];
-    (*out)[i] = acc;
+  // The kernel takes row pointers; pass them a stack block at a time.
+  constexpr size_t kBlock = 16;
+  const float* rows[kBlock];
+  for (size_t lo = 0; lo < n; lo += kBlock) {
+    const size_t m = std::min(kBlock, n - lo);
+    for (size_t r = 0; r < m; ++r) {
+      PUP_CHECK(users[lo + r] < user_vecs_.rows());
+      rows[r] = user_vecs_.Row(users[lo + r]);
+    }
+    la::ScoreUsers(panels_, rows, m, out + lo * num_items(), num_items());
   }
 }
 
@@ -41,7 +50,7 @@ Status DotScorer::Save(const std::string& prefix) const {
     return Status::FailedPrecondition("cannot save an empty DotScorer");
   }
   PUP_RETURN_NOT_OK(la::WriteMatrix(user_vecs_, prefix + ".users"));
-  PUP_RETURN_NOT_OK(la::WriteMatrix(item_vecs_, prefix + ".items"));
+  PUP_RETURN_NOT_OK(la::WriteMatrix(item_vecs(), prefix + ".items"));
   la::Matrix bias(item_bias_.empty() ? 0 : item_bias_.size(), 1);
   for (size_t i = 0; i < item_bias_.size(); ++i) bias(i, 0) = item_bias_[i];
   return la::WriteMatrix(bias, prefix + ".bias");

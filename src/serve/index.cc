@@ -76,7 +76,7 @@ ServingIndex ServingIndex::Freeze(const models::DotScorer& scorer,
                                   const std::string& model_name) {
   PUP_CHECK_MSG(scorer.initialized(), "cannot freeze an unfit scorer");
   PUP_CHECK_EQ(scorer.user_vecs().rows(), dataset.num_users);
-  PUP_CHECK_EQ(scorer.item_vecs().rows(), dataset.num_items);
+  PUP_CHECK_EQ(scorer.num_items(), dataset.num_items);
   ServingIndex index;
   index.user_vecs_ = scorer.user_vecs();
   index.item_vecs_ = scorer.item_vecs();

@@ -416,6 +416,9 @@ std::vector<EpochStats> TrainBpr(BprTrainable* model,
 
     if (callback && !callback(stats)) break;
   }
+  // A fitted model keeps its parameters, not their full-table gradients:
+  // they are dead once training ends.
+  for (const ag::Tensor& p : model->Parameters()) p->ReleaseGrad();
   return history;
 }
 

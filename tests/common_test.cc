@@ -385,5 +385,29 @@ TEST(FlagsTest, UnusedFlagsDetected) {
   EXPECT_EQ(unused[0], "typo");
 }
 
+// A numeric value must be the whole string and in range; anything else
+// returns the fallback and is reported, never half-parsed.
+TEST(FlagsTest, NumericValuesParseWholeOrAreReported) {
+  Flags f = ParseArgs({"--a=-5", "--b=7x", "--c=abc", "--d=", "--e=1e3",
+                       "--f=0.25", "--g=99999999999999999999", "--h=1.5.2",
+                       "--i=nan", "--j=1e999", "--k= 4"});
+  EXPECT_EQ(f.GetInt("a", 0), -5);
+  EXPECT_EQ(f.GetInt("b", 11), 11);
+  EXPECT_EQ(f.GetInt("c", 12), 12);
+  EXPECT_EQ(f.GetInt("d", 13), 13);
+  EXPECT_EQ(f.GetInt("e", 14), 14);  // Not an integer.
+  EXPECT_DOUBLE_EQ(f.GetDouble("e", 0.0), 1000.0);
+  EXPECT_DOUBLE_EQ(f.GetDouble("f", 0.0), 0.25);
+  EXPECT_EQ(f.GetInt("g", 15), 15);  // Overflows int64.
+  EXPECT_DOUBLE_EQ(f.GetDouble("h", 1.0), 1.0);
+  EXPECT_DOUBLE_EQ(f.GetDouble("i", 2.0), 2.0);
+  EXPECT_DOUBLE_EQ(f.GetDouble("j", 3.0), 3.0);
+  EXPECT_EQ(f.GetInt("k", 16), 16);
+  EXPECT_EQ(f.MalformedFlags(),
+            (std::vector<std::string>{"--b=7x", "--c=abc", "--d=", "--e=1e3",
+                                      "--g=99999999999999999999", "--h=1.5.2",
+                                      "--i=nan", "--j=1e999", "--k= 4"}));
+}
+
 }  // namespace
 }  // namespace pup

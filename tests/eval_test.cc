@@ -1,9 +1,11 @@
 // Tests for src/eval: ranking metrics, CWTP analysis, cold-start tasks,
-// and the bounded-heap top-K selector the evaluators and the serving
-// engine share.
+// the bounded-heap top-K selector the evaluators and the serving engine
+// share, and the evaluators' block scoring path (Scorer::ScoreUsers, one
+// selection per user at the largest cutoff).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -11,6 +13,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "eval/cold_start.h"
 #include "eval/cwtp.h"
 #include "eval/metrics.h"
@@ -209,6 +212,195 @@ TEST(EvaluateWithCandidatesDeathTest, OutOfRangeCandidateAborts) {
   FixedScorer scorer({{1.0f, 0.5f, 9.0f}});
   EXPECT_DEATH(EvaluateRankingWithCandidates(scorer, {{0, 7}}, {{0}}, {1}),
                "candidate item id out of range");
+}
+
+// ------------------------- Block scoring path ---------------------------
+
+// The same score tables as FixedScorer, served by an override of
+// ScoreUsers that writes the block directly (as the dot-product models
+// do), never through ScoreItems. Records the largest block it was asked
+// for.
+class BlockScorer : public FixedScorer {
+ public:
+  using FixedScorer::FixedScorer;
+  void ScoreUsers(const uint32_t* users, size_t n,
+                  std::vector<float>* out) const override {
+    std::vector<float> row;
+    out->clear();
+    for (size_t r = 0; r < n; ++r) {
+      FixedScorer::ScoreItems(users[r], &row);
+      out->insert(out->end(), row.begin(), row.end());
+    }
+    calls_.fetch_add(1);
+    size_t seen = max_block_.load();
+    while (n > seen && !max_block_.compare_exchange_weak(seen, n)) {
+    }
+  }
+  void ScoreItems(uint32_t, std::vector<float>*) const override {
+    ADD_FAILURE() << "evaluators must score through ScoreUsers";
+  }
+  size_t calls() const { return calls_.load(); }
+  size_t max_block() const { return max_block_.load(); }
+
+ private:
+  mutable std::atomic<size_t> calls_{0};
+  mutable std::atomic<size_t> max_block_{0};
+};
+
+// A ranking world with heavy score ties, excluded items, users without
+// test items (so blocks hold fewer than 16 evaluated users) and a last
+// chunk that is not full.
+struct RankingWorld {
+  static constexpr size_t kUsers = 70;
+  static constexpr size_t kItems = 40;
+  std::vector<std::vector<float>> scores;
+  std::vector<std::vector<uint32_t>> exclude, test, candidates;
+
+  RankingWorld() : scores(kUsers), exclude(kUsers), test(kUsers),
+                   candidates(kUsers) {
+    Rng rng(2024);
+    for (size_t u = 0; u < kUsers; ++u) {
+      for (size_t i = 0; i < kItems; ++i) {
+        scores[u].push_back(static_cast<float>(rng.NextBelow(6)) * 0.5f);
+        const double roll = rng.NextDouble();
+        if (roll < 0.2) {
+          exclude[u].push_back(static_cast<uint32_t>(i));
+        } else if (roll < 0.3 && u % 5 != 0) {
+          test[u].push_back(static_cast<uint32_t>(i));
+        }
+        if (rng.NextDouble() < 0.4 || (roll >= 0.2 && roll < 0.3)) {
+          candidates[u].push_back(static_cast<uint32_t>(i));
+        }
+      }
+    }
+  }
+};
+
+// The pre-block evaluator, written out serially: one full sort per
+// (user, distinct cutoff), sums in user order — what EvaluateRanking
+// computed on one thread before it scored blocks and selected once.
+EvalResult ReferenceEval(const std::vector<std::vector<float>>& scores,
+                         const std::vector<std::vector<uint32_t>>& test,
+                         const std::vector<int>& cutoffs) {
+  std::vector<int> ks(cutoffs);
+  std::sort(ks.begin(), ks.end());
+  ks.erase(std::unique(ks.begin(), ks.end()), ks.end());
+  std::vector<double> recall(ks.size(), 0.0), ndcg(ks.size(), 0.0);
+  size_t evaluated = 0;
+  for (size_t u = 0; u < scores.size(); ++u) {
+    if (test[u].empty()) continue;
+    ++evaluated;
+    for (size_t c = 0; c < ks.size(); ++c) {
+      const std::vector<uint32_t> top =
+          PartialSortTopK(scores[u], static_cast<size_t>(ks[c]));
+      int hits = 0;
+      double dcg = 0.0;
+      for (size_t pos = 0; pos < top.size(); ++pos) {
+        if (scores[u][top[pos]] == -std::numeric_limits<float>::infinity()) {
+          break;
+        }
+        if (std::binary_search(test[u].begin(), test[u].end(), top[pos])) {
+          ++hits;
+          dcg += 1.0 / std::log2(static_cast<double>(pos) + 2.0);
+        }
+      }
+      recall[c] += static_cast<double>(hits) / test[u].size();
+      const double idcg = IdealDcg(test[u].size(), ks[c]);
+      ndcg[c] += idcg > 0.0 ? dcg / idcg : 0.0;
+    }
+  }
+  EvalResult result;
+  result.num_users_evaluated = evaluated;
+  for (size_t c = 0; c < ks.size(); ++c) {
+    result.at[ks[c]] = {recall[c] / static_cast<double>(evaluated),
+                        ndcg[c] / static_cast<double>(evaluated)};
+  }
+  return result;
+}
+
+void ExpectBitwiseEqual(const EvalResult& got, const EvalResult& want,
+                        const char* what) {
+  EXPECT_EQ(got.num_users_evaluated, want.num_users_evaluated) << what;
+  ASSERT_EQ(got.at.size(), want.at.size()) << what;
+  for (const auto& [k, m] : want.at) {
+    ASSERT_TRUE(got.at.count(k)) << what << " k=" << k;
+    // EXPECT_EQ on doubles is exact: bitwise up to the sign of zero.
+    EXPECT_EQ(got.At(k).recall, m.recall) << what << " k=" << k;
+    EXPECT_EQ(got.At(k).ndcg, m.ndcg) << what << " k=" << k;
+  }
+}
+
+// Unsorted and duplicate cutoffs, one larger than the catalog, and a
+// zero cutoff.
+const std::vector<int> kMessyCutoffs = {20, 5, 5, 100, 1, 0, 20};
+
+class EvalBlockTest : public ::testing::Test {
+ protected:
+  void TearDown() override { ThreadPool::SetGlobalThreads(0); }
+};
+
+TEST_F(EvalBlockTest, ScoreUsersAndScoreItemsGiveBitwiseEqualResults) {
+  const RankingWorld w;
+  const FixedScorer rows(w.scores);
+  const BlockScorer blocks(w.scores);
+  std::vector<std::vector<float>> masked = w.scores;
+  for (size_t u = 0; u < masked.size(); ++u) {
+    for (uint32_t i : w.exclude[u]) {
+      masked[u][i] = -std::numeric_limits<float>::infinity();
+    }
+  }
+  const EvalResult reference = ReferenceEval(masked, w.test, kMessyCutoffs);
+  EXPECT_EQ(reference.at.size(), 5u);
+  for (int threads : {1, 4}) {
+    ThreadPool::SetGlobalThreads(threads);
+    const EvalResult by_rows =
+        EvaluateRanking(rows, RankingWorld::kUsers, RankingWorld::kItems,
+                        w.exclude, w.test, kMessyCutoffs);
+    const EvalResult by_blocks =
+        EvaluateRanking(blocks, RankingWorld::kUsers, RankingWorld::kItems,
+                        w.exclude, w.test, kMessyCutoffs);
+    ExpectBitwiseEqual(by_blocks, by_rows, "blocks vs rows");
+    // One thread sums users in order, as the serial reference does.
+    if (threads == 1) ExpectBitwiseEqual(by_rows, reference, "reference");
+  }
+  EXPECT_GT(blocks.calls(), 0u);
+  EXPECT_LE(blocks.max_block(), 16u);
+}
+
+TEST_F(EvalBlockTest, CandidateEvalBitwiseEqualAcrossScoringPaths) {
+  const RankingWorld w;
+  const FixedScorer rows(w.scores);
+  const BlockScorer blocks(w.scores);
+  std::vector<std::vector<float>> masked(w.scores.size());
+  std::vector<std::vector<uint32_t>> test(w.test.size());
+  for (size_t u = 0; u < masked.size(); ++u) {
+    masked[u].assign(RankingWorld::kItems,
+                     -std::numeric_limits<float>::infinity());
+    for (uint32_t i : w.candidates[u]) masked[u][i] = w.scores[u][i];
+    // The candidate evaluator skips users with an empty pool.
+    if (!w.candidates[u].empty()) test[u] = w.test[u];
+  }
+  const EvalResult reference = ReferenceEval(masked, test, kMessyCutoffs);
+  for (int threads : {1, 4}) {
+    ThreadPool::SetGlobalThreads(threads);
+    const EvalResult by_rows = EvaluateRankingWithCandidates(
+        rows, w.candidates, w.test, kMessyCutoffs);
+    const EvalResult by_blocks = EvaluateRankingWithCandidates(
+        blocks, w.candidates, w.test, kMessyCutoffs);
+    ExpectBitwiseEqual(by_blocks, by_rows, "blocks vs rows");
+    if (threads == 1) ExpectBitwiseEqual(by_rows, reference, "reference");
+  }
+  EXPECT_LE(blocks.max_block(), 16u);
+}
+
+// A repeated cutoff is one metric, not a doubled sum.
+TEST_F(EvalBlockTest, DuplicateCutoffIsReportedOnce) {
+  FixedScorer scorer({{3.0f, 2.0f, 1.0f}});
+  const EvalResult once = EvaluateRanking(scorer, 1, 3, {{}}, {{0}}, {2});
+  const EvalResult twice =
+      EvaluateRanking(scorer, 1, 3, {{}}, {{0}}, {2, 2});
+  EXPECT_DOUBLE_EQ(once.At(2).recall, 1.0);
+  ExpectBitwiseEqual(twice, once, "duplicate");
 }
 
 // --------------------------------- CWTP --------------------------------

@@ -4,9 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <memory>
 #include <numeric>
 
+#include "core/pup_model.h"
 #include "data/quantization.h"
 #include "data/synthetic.h"
 #include "eval/metrics.h"
@@ -311,6 +313,57 @@ TEST(PadqTest, RequiresQuantizedPrices) {
   ds.item_price_level.clear();
   PaDQ model;
   EXPECT_DEATH(model.Fit(ds, ds.interactions), "quantized");
+}
+
+// Every model pup_cli can train: where ExportScorer() is non-null, that
+// scorer scores exactly what the model's ScoreItems does, bitwise — the
+// serving index freezes it, and Recommender::ScoreUsers (the evaluators'
+// block path) routes through it. ScoreUsers must in turn reproduce
+// ScoreItems row by row for every model, exported scorer or not.
+TEST(ExportScorerTest, MatchesScoreItemsBitwiseForEveryCliModel) {
+  data::Dataset ds = SmallDataset();
+  std::vector<std::unique_ptr<Recommender>> models;
+  models.push_back(std::make_unique<ItemPop>());
+  for (Kind kind : {Kind::kBprMf, Kind::kFm, Kind::kDeepFm, Kind::kPadq,
+                    Kind::kGcMc, Kind::kNgcf}) {
+    models.push_back(MakeModel(kind, 1));
+  }
+  for (core::PupConfig c : {core::PupConfig::Full(),
+                            core::PupConfig::Minus()}) {
+    c.embedding_dim = 16;
+    if (c.two_branch) c.category_branch_dim = 2;
+    c.train = FastTrain(1);
+    models.push_back(std::make_unique<core::Pup>(c));
+  }
+  auto same_bits = [](const float* a, const float* b, size_t n) {
+    return std::memcmp(a, b, n * sizeof(float)) == 0;
+  };
+  // Users 1..19 make one full 16-user block and a 3-user tail.
+  std::vector<uint32_t> users(19);
+  std::iota(users.begin(), users.end(), 1u);
+  for (const auto& model : models) {
+    model->Fit(ds, ds.interactions);
+    const DotScorer* dot = model->ExportScorer();
+    const bool want_export = model->name() != "DeepFM" &&
+                             model->name() != "ItemPop";
+    EXPECT_EQ(dot != nullptr, want_export) << model->name();
+    std::vector<float> block;
+    model->ScoreUsers(users.data(), users.size(), &block);
+    ASSERT_EQ(block.size(), users.size() * ds.num_items) << model->name();
+    std::vector<float> own, exported;
+    for (size_t r = 0; r < users.size(); ++r) {
+      model->ScoreItems(users[r], &own);
+      ASSERT_EQ(own.size(), ds.num_items) << model->name();
+      EXPECT_TRUE(same_bits(block.data() + r * ds.num_items, own.data(),
+                            own.size()))
+          << model->name() << " ScoreUsers row " << r;
+      if (dot == nullptr) continue;
+      dot->ScoreItems(users[r], &exported);
+      ASSERT_EQ(exported.size(), own.size()) << model->name();
+      EXPECT_TRUE(same_bits(exported.data(), own.data(), own.size()))
+          << model->name() << " ExportScorer user " << users[r];
+    }
+  }
 }
 
 TEST(ModelNamesTest, MatchPaperTables) {

@@ -10,6 +10,9 @@
 //     - approximate elementwise (Sigmoid / Tanh) obeys a bounded-ULP
 //       contract on vector backends while --simd=off stays bitwise-equal
 //       to the historical libm formulation (the golden path).
+//  * Item-panel block scoring (la::ScoreUsers) is order-preserving: every
+//    backend is bitwise-equal to the scalar "bias, then + u[p] * v[p] in
+//    ascending p" loop, and never writes past the last item of a row.
 //  * The shared non-finite scan (AllFinite / CountNonFinite) returns the
 //    same verdict, counts, and first index on every backend, and never
 //    reads the padded tail of a row (matrix.h layout contract).
@@ -30,6 +33,7 @@
 #include "common/simd.h"
 #include "common/thread_pool.h"
 #include "data/synthetic.h"
+#include "la/item_panels.h"
 #include "la/kernels.h"
 #include "la/matrix.h"
 #include "la/simd/backend.h"
@@ -283,6 +287,56 @@ TEST_F(SimdParityTest, AxpyBitwiseEqualAcrossBackends) {
       Matrix out = RandomMatrix(r, c, 5 * r + c);
       la::Axpy(0.37f, x, &out);
       ExpectBitwiseEqual(out, golden, simd::IsaName(isa));
+    }
+  }
+}
+
+// Item-panel scoring keeps one accumulator per item lane, seeded with the
+// bias and fed mul-then-add in ascending p, so every backend must equal
+// the plain scalar loop bitwise — for every panel tail (items not a
+// multiple of 16), every user tile tail, odd dims, and no bias. User rows
+// are deliberately misaligned, and the output stride leaves a gap after
+// each row that must stay untouched.
+TEST_F(SimdParityTest, PanelScoreBitwiseEqualToScalarLoopOnEveryBackend) {
+  constexpr float kSentinel = -12345.0f;
+  constexpr size_t kGap = 3;
+  for (size_t num_items : {1, 15, 16, 17, 33, 1000}) {
+    for (size_t d : {1, 7, 16, 64, 65}) {
+      const Matrix items = RandomMatrix(num_items, d, 31 * num_items + d);
+      Rng rng(7 * num_items + d);
+      std::vector<float> bias(num_items);
+      for (float& b : bias) b = rng.NextFloat() - 0.5f;
+      for (bool with_bias : {false, true}) {
+        const la::ItemPanels panels(items, with_bias ? bias.data() : nullptr);
+        for (size_t n : {1, 3, 4, 5, 16}) {
+          // One float of offset misaligns every user row.
+          std::vector<float> user_buf(1 + n * d);
+          for (float& x : user_buf) x = rng.NextFloat() * 2.0f - 1.0f;
+          std::vector<const float*> users(n);
+          for (size_t r = 0; r < n; ++r) users[r] = user_buf.data() + 1 + r * d;
+
+          const size_t stride = num_items + kGap;
+          std::vector<float> want(n * stride, kSentinel);
+          for (size_t r = 0; r < n; ++r) {
+            for (size_t i = 0; i < num_items; ++i) {
+              float acc = with_bias ? bias[i] : 0.0f;
+              for (size_t p = 0; p < d; ++p) acc += users[r][p] * items(i, p);
+              want[r * stride + i] = acc;
+            }
+          }
+          for (Isa isa : AllIsas()) {
+            simd::SetActiveIsa(isa);
+            std::vector<float> got(n * stride, kSentinel);
+            la::ScoreUsers(panels, users.data(), n, got.data(), stride);
+            for (size_t j = 0; j < got.size(); ++j) {
+              ASSERT_EQ(Bits(got[j]), Bits(want[j]))
+                  << simd::IsaName(isa) << " items=" << num_items
+                  << " d=" << d << " users=" << n << " bias=" << with_bias
+                  << " row=" << j / stride << " col=" << j % stride;
+            }
+          }
+        }
+      }
     }
   }
 }

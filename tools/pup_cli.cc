@@ -23,8 +23,10 @@
 //       the quantized fastscan path (docs/quantization.md). Each client
 //       thread's requests run on that thread.
 //
-// Unknown subcommands, unknown/misspelled flags, and out-of-range serve
-// sizes are rejected with the usage message and exit code 2.
+// Unknown subcommands, unknown/misspelled flags, malformed numeric
+// values, and out-of-range sizes (serve sizes; train/generate epochs,
+// dim, threads, levels, kcore, max-neighbors, scale) are rejected with
+// the usage message and exit code 2 before any work starts.
 //
 // Examples:
 //   pup_cli generate --out-dir /tmp/world --preset beibei --scale 0.3
@@ -34,6 +36,7 @@
 //   pup_cli serve --index /tmp/world/pup.index --clients 8
 #include <atomic>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <thread>
@@ -104,16 +107,35 @@ int Usage() {
   return 2;
 }
 
-// Hard error on provided-but-never-queried flags: a typo like
-// --epohcs would otherwise silently train with the default. Call after
-// every legitimate flag of the subcommand has been queried.
-int RejectUnknownFlags(const Flags& flags) {
+// Hard error on provided-but-never-queried flags — a typo like
+// --epohcs would otherwise silently train with the default — and on
+// numeric values that did not parse (--epochs abc used to reach a
+// PUP_CHECK abort as epochs 0). Call after every legitimate flag of the
+// subcommand has been queried.
+int RejectBadFlags(const Flags& flags) {
   const std::vector<std::string> unused = flags.UnusedFlags();
-  if (unused.empty()) return 0;
+  const std::vector<std::string> malformed = flags.MalformedFlags();
+  if (unused.empty() && malformed.empty()) return 0;
   for (const std::string& flag : unused) {
     std::fprintf(stderr, "unknown flag --%s\n", flag.c_str());
   }
+  for (const std::string& flag : malformed) {
+    std::fprintf(stderr, "malformed number %s\n", flag.c_str());
+  }
   return Usage();
+}
+
+// False (after saying why) when --name was given outside [min, INT_MAX].
+// `min` doubles as the fallback, so an absent flag passes; a malformed
+// value is left to RejectBadFlags.
+bool IntFlagInRange(const Flags& flags, const char* name, int64_t min) {
+  constexpr int64_t kMax = std::numeric_limits<int>::max();
+  const int64_t v = flags.GetInt(name, min);
+  if (v >= min && v <= kMax) return true;
+  std::fprintf(stderr, "--%s must be an integer in [%lld, %lld], got %lld\n",
+               name, static_cast<long long>(min),
+               static_cast<long long>(kMax), static_cast<long long>(v));
+  return false;
 }
 
 int RunGenerate(const Flags& flags) {
@@ -121,8 +143,12 @@ int RunGenerate(const Flags& flags) {
   std::string preset = flags.GetString("preset", "beibei");
   double scale = flags.GetDouble("scale", 1.0);
   int64_t seed_flag = flags.GetInt("seed", -1);
-  if (int rc = RejectUnknownFlags(flags); rc != 0) return rc;
+  if (int rc = RejectBadFlags(flags); rc != 0) return rc;
   if (out_dir.empty()) return Usage();
+  if (!(scale > 0.0)) {
+    std::fprintf(stderr, "--scale must be > 0, got %g\n", scale);
+    return Usage();
+  }
   data::SyntheticConfig config;
   if (preset == "yelp") {
     config = data::SyntheticConfig::YelpLike();
@@ -168,9 +194,9 @@ std::unique_ptr<models::Recommender> MakeModel(const std::string& name,
   size_t dim = static_cast<size_t>(flags.GetInt("dim", 64));
   // Per-node fan-in cap for the graph models; scorer-only models query
   // (and ignore) it so a provided flag never trips the unknown-flag gate.
+  // RunTrain has range-checked it to >= 0.
   size_t max_neighbors =
-      static_cast<size_t>(std::max<int64_t>(flags.GetInt("max-neighbors", 0),
-                                            0));
+      static_cast<size_t>(flags.GetInt("max-neighbors", 0));
 
   if (name == "itempop") return std::make_unique<models::ItemPop>();
   if (name == "bpr-mf") {
@@ -240,41 +266,32 @@ int RunTrain(const Flags& flags) {
   std::string interactions = flags.GetString("interactions", "");
   if (items.empty() || interactions.empty()) return Usage();
 
-  auto loaded = data::LoadCsv(items, interactions);
-  if (!loaded.ok()) {
-    std::fprintf(stderr, "load failed: %s\n",
-                 loaded.status().ToString().c_str());
-    return 1;
+  // Every train flag is queried and validated before the data is loaded,
+  // so a bad command line fails fast and a typo'd flag is the only thing
+  // left unqueried at the unknown-flag gate. The ranges go first: model
+  // constructors abort on a zero dim.
+  if (!IntFlagInRange(flags, "epochs", 1) || !IntFlagInRange(flags, "dim", 1) ||
+      !IntFlagInRange(flags, "levels", 1) ||
+      !IntFlagInRange(flags, "kcore", 0) ||
+      !IntFlagInRange(flags, "max-neighbors", 0)) {
+    return Usage();
   }
-  data::Dataset ds = std::move(loaded).value();
-
   auto scheme = flags.GetString("quantization", "uniform") == "rank"
                     ? data::QuantizationScheme::kRank
                     : data::QuantizationScheme::kUniform;
-  Status st = data::QuantizeDataset(
-      &ds, static_cast<size_t>(flags.GetInt("levels", 10)), scheme);
-  if (!st.ok()) {
-    std::fprintf(stderr, "quantization failed: %s\n", st.ToString().c_str());
-    return 1;
-  }
-  ds = data::KCoreFilter(ds, static_cast<size_t>(flags.GetInt("kcore", 5)));
-  std::printf("dataset after preprocessing: %s\n", ds.Summary().c_str());
-
-  data::DataSplit split = data::TemporalSplit(ds);
+  const int64_t levels = flags.GetInt("levels", 10);
+  const int64_t kcore = flags.GetInt("kcore", 5);
   std::string model_name = flags.GetString("model", "pup");
   auto model = MakeModel(model_name, flags);
   if (!model) {
     std::fprintf(stderr, "unknown model '%s'\n", model_name.c_str());
     return 2;
   }
-
-  // Query the remaining train flags before the unknown-flag gate so a
-  // typo'd flag is the only thing left unqueried.
   auto cutoffs = ParseCutoffs(flags.GetString("cutoffs", "50,100"));
   double beta = flags.GetDouble("beta", 0.0);
   std::string export_index = flags.GetString("export-index", "");
   std::string quant_name = flags.GetString("quant", "off");
-  if (int rc = RejectUnknownFlags(flags); rc != 0) return rc;
+  if (int rc = RejectBadFlags(flags); rc != 0) return rc;
   auto quant = la::QuantModeFromString(quant_name);
   if (!quant.ok()) {
     std::fprintf(stderr, "bad --quant: %s\n",
@@ -282,6 +299,23 @@ int RunTrain(const Flags& flags) {
     return 2;
   }
   const la::QuantMode quant_mode = quant.value();
+
+  auto loaded = data::LoadCsv(items, interactions);
+  if (!loaded.ok()) {
+    std::fprintf(stderr, "load failed: %s\n",
+                 loaded.status().ToString().c_str());
+    return 1;
+  }
+  data::Dataset ds = std::move(loaded).value();
+  Status st =
+      data::QuantizeDataset(&ds, static_cast<size_t>(levels), scheme);
+  if (!st.ok()) {
+    std::fprintf(stderr, "quantization failed: %s\n", st.ToString().c_str());
+    return 1;
+  }
+  ds = data::KCoreFilter(ds, static_cast<size_t>(kcore));
+  std::printf("dataset after preprocessing: %s\n", ds.Summary().c_str());
+  data::DataSplit split = data::TemporalSplit(ds);
 
   std::printf("training %s on %zu interactions...\n",
               model->name().c_str(), split.train.size());
@@ -371,7 +405,7 @@ int RunServe(const Flags& flags) {
   uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
   // Empty = serve whatever quantization the index file stored.
   std::string quant_name = flags.GetString("quant", "");
-  if (int rc = RejectUnknownFlags(flags); rc != 0) return rc;
+  if (int rc = RejectBadFlags(flags); rc != 0) return rc;
   // Sizes are cast to size_t below, so a negative value must never get
   // that far: --cache -1 would ask for SIZE_MAX cache entries.
   if (index_path.empty() || topk < 1 || num_requests < 1 || clients < 1 ||
@@ -480,6 +514,9 @@ int RunServe(const Flags& flags) {
 int main(int argc, char** argv) {
   if (argc < 2) return Usage();
   Flags flags = Flags::Parse(argc, argv);
+  // Before the pool is sized; a malformed value is rejected by the
+  // subcommand's flag gate before any work runs.
+  if (!IntFlagInRange(flags, "threads", 0)) return Usage();
   ApplyThreadsFlag(flags);
   ApplySimdFlag(flags);
   // Dumps the metrics registry / chrome trace when main returns.
