@@ -4,8 +4,10 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 #include "common/check.h"
+#include "common/flags.h"
 #include "common/simd.h"
 #include "common/stopwatch.h"
 #include "common/table.h"
@@ -20,27 +22,41 @@ namespace {
 size_t g_cases = 0;
 std::vector<std::string> g_failures;
 
+// Reads integer knob `name` into *out when set. The whole value must be
+// a decimal integer in [min, INT_MAX] (the --flag rules, common/flags.h);
+// anything else exits with status 2 naming the variable, never a silent
+// default.
+void IntEnv(const char* name, int64_t min, int* out) {
+  const char* s = std::getenv(name);
+  if (s == nullptr) return;
+  int64_t v = 0;
+  if (!ParseInt64(s, &v) || v < min || v > std::numeric_limits<int>::max()) {
+    std::fprintf(stderr, "%s=%s: want an integer in [%lld, %d]\n", name, s,
+                 static_cast<long long>(min), std::numeric_limits<int>::max());
+    std::exit(2);
+  }
+  *out = static_cast<int>(v);
+}
+
 }  // namespace
 
 Env GetEnv() {
   Env env;
   if (const char* s = std::getenv("PUP_BENCH_SCALE")) {
-    double v = std::atof(s);
-    if (v > 0.0) env.scale = v;
+    double v = 0.0;
+    if (!ParseFiniteDouble(s, &v) || !(v > 0.0)) {
+      std::fprintf(stderr, "PUP_BENCH_SCALE=%s: want a number > 0\n", s);
+      std::exit(2);
+    }
+    env.scale = v;
   }
-  if (const char* s = std::getenv("PUP_BENCH_EPOCHS")) {
-    int v = std::atoi(s);
-    if (v > 0) env.epochs = v;
-  }
-  if (const char* s = std::getenv("PUP_BENCH_DIM")) {
-    int v = std::atoi(s);
-    if (v > 0) env.embedding_dim = static_cast<size_t>(v);
-  }
-  if (const char* s = std::getenv("PUP_BENCH_THREADS")) {
-    env.threads = std::atoi(s);
-  }
+  IntEnv("PUP_BENCH_EPOCHS", 1, &env.epochs);
+  int dim = static_cast<int>(env.embedding_dim);
+  IntEnv("PUP_BENCH_DIM", 1, &dim);
+  env.embedding_dim = static_cast<size_t>(dim);
+  IntEnv("PUP_BENCH_THREADS", 0, &env.threads);
   ThreadPool::SetGlobalThreads(env.threads);
-  // PUP_BENCH_SIMD mirrors the --simd flag (auto|off|neon|avx2|avx512);
+  // PUP_BENCH_SIMD mirrors the --simd flag (auto|off|avx2|avx512);
   // unset keeps the auto-detected backend.
   if (const char* s = std::getenv("PUP_BENCH_SIMD")) {
     const Status st = simd::SetActiveIsaFromString(s);

@@ -36,7 +36,9 @@ struct Env {
 };
 
 /// Reads PUP_BENCH_* environment variables and sizes the global thread
-/// pool from PUP_BENCH_THREADS.
+/// pool from PUP_BENCH_THREADS. A value must be a whole number in range
+/// (SCALE > 0, EPOCHS and DIM >= 1, THREADS >= 0); anything else exits
+/// with status 2, naming the variable.
 Env GetEnv();
 
 /// Training options matching the paper's §V-A3 protocol at bench scale.

@@ -66,6 +66,7 @@ int main(int argc, char** argv) {
   train::ApplyCheckNumericsFlag(flags, &gc_config.train);
   PUP_CHECK(train::ApplyNegSamplingFlags(flags, &gc_config.train).ok());
   gc_config.max_neighbors = max_neighbors;
+  if (ReportMalformedFlags(flags) > 0) return 2;  // e.g. --threads xyz
   models::GcMc gc_mc(gc_config);
   std::printf("training %s...\n", gc_mc.name().c_str());
   gc_mc.Fit(dataset, split.train);

@@ -62,6 +62,7 @@ int main(int argc, char** argv) {
   // --ckpt-dir/--save-every/--resume make the training run crash-safe.
   config.train.checkpoint = train::CheckpointOptionsFromFlags(flags);
   train::ApplyCheckNumericsFlag(flags, &config.train);
+  if (ReportMalformedFlags(flags) > 0) return 2;  // e.g. --threads xyz
   core::Pup model(config);
   model.Fit(dataset, split.train);
 

@@ -83,6 +83,7 @@ int main(int argc, char** argv) {
     // each variant snapshots into its own subdirectory.
     config.train.checkpoint = train::CheckpointOptionsFromFlags(flags);
     train::ApplyCheckNumericsFlag(flags, &config.train);
+    if (ReportMalformedFlags(flags) > 0) return 2;  // e.g. --threads xyz
     std::string tag = "/variant-" + std::to_string(v);
     if (!config.train.checkpoint.directory.empty()) {
       config.train.checkpoint.directory += tag;

@@ -76,6 +76,7 @@ int main(int argc, char** argv) {
   // --ckpt-dir/--save-every/--resume make the training run crash-safe.
   config.train.checkpoint = train::CheckpointOptionsFromFlags(flags);
   train::ApplyCheckNumericsFlag(flags, &config.train);
+  if (ReportMalformedFlags(flags) > 0) return 2;  // e.g. --threads xyz
   core::Pup model(config);
   std::printf("training %s...\n\n", model.name().c_str());
   model.Fit(dataset, dataset.interactions);

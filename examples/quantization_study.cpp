@@ -24,6 +24,7 @@ int main(int argc, char** argv) {
   // stderr) and a chrome://tracing event trace at exit.
   obs::ScopedExport obs_export(flags.GetString("metrics-out", ""),
                                flags.GetString("trace-out", ""));
+  if (ReportMalformedFlags(flags) > 0) return 2;  // e.g. --threads xyz
 
   // The paper's worked example.
   {

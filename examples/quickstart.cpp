@@ -55,6 +55,7 @@ int main(int argc, char** argv) {
   PUP_CHECK(train::ApplyNegSamplingFlags(flags, &config.train).ok());
   config.max_neighbors = static_cast<size_t>(
       std::max<int64_t>(flags.GetInt("max-neighbors", 0), 0));
+  if (ReportMalformedFlags(flags) > 0) return 2;  // e.g. --threads xyz
   core::Pup model(config);
   std::printf("training %s (%d epochs)...\n", model.name().c_str(),
               config.train.epochs);

@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cmath>
+#include <cstdio>
 
 #include "common/check.h"
 #include "common/simd.h"
@@ -55,12 +56,20 @@ bool ParseWhole(const std::string& text, T* out) {
 
 }  // namespace
 
+bool ParseInt64(const std::string& text, int64_t* out) {
+  return ParseWhole(text, out);
+}
+
+bool ParseFiniteDouble(const std::string& text, double* out) {
+  return ParseWhole(text, out) && std::isfinite(*out);
+}
+
 int64_t Flags::GetInt(const std::string& name, int64_t fallback) const {
   queried_[name] = true;
   auto it = values_.find(name);
   if (it == values_.end()) return fallback;
   int64_t v = 0;
-  if (ParseWhole(it->second, &v)) return v;
+  if (ParseInt64(it->second, &v)) return v;
   malformed_.insert(name);
   return fallback;
 }
@@ -70,7 +79,7 @@ double Flags::GetDouble(const std::string& name, double fallback) const {
   auto it = values_.find(name);
   if (it == values_.end()) return fallback;
   double v = 0.0;
-  if (ParseWhole(it->second, &v) && std::isfinite(v)) return v;
+  if (ParseFiniteDouble(it->second, &v)) return v;
   malformed_.insert(name);
   return fallback;
 }
@@ -96,6 +105,14 @@ std::vector<std::string> Flags::MalformedFlags() const {
     bad.push_back("--" + key + "=" + values_.at(key));
   }
   return bad;
+}
+
+size_t ReportMalformedFlags(const Flags& flags) {
+  const std::vector<std::string> malformed = flags.MalformedFlags();
+  for (const std::string& flag : malformed) {
+    std::fprintf(stderr, "malformed number %s\n", flag.c_str());
+  }
+  return malformed.size();
 }
 
 void ApplyThreadsFlag(const Flags& flags) {

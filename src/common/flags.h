@@ -52,13 +52,24 @@ class Flags {
   std::vector<std::string> positional_;
 };
 
+/// Whole-string numeric parsing, the rules Flags::GetInt / GetDouble
+/// apply: false on junk, a partial parse ("5x"), an empty string, a value
+/// out of the type's range, or (doubles) a non-finite value.
+bool ParseInt64(const std::string& text, int64_t* out);
+bool ParseFiniteDouble(const std::string& text, double* out);
+
+/// Prints "malformed number --name=value" on stderr for each entry of
+/// flags.MalformedFlags() and returns how many there were. A binary calls
+/// it after its last numeric getter and exits non-zero when it is > 0.
+size_t ReportMalformedFlags(const Flags& flags);
+
 /// Sizes the global thread pool from the standard --threads flag
 /// (default: hardware concurrency; --threads=1 restores exact serial
 /// behavior). Call once at startup, before any parallel work runs.
 void ApplyThreadsFlag(const Flags& flags);
 
 /// Pins the SIMD kernel backend from the standard --simd flag
-/// (auto|off|neon|avx2|avx512; default auto = widest supported ISA,
+/// (auto|off|avx2|avx512; default auto = widest supported ISA,
 /// --simd=off restores the exact scalar golden path). Aborts with a
 /// diagnostic on unknown or unsupported values. Call once at startup,
 /// before any kernel runs.

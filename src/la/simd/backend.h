@@ -145,16 +145,14 @@ const Backend& ForIsa(pup::simd::Isa isa);
 // Per-ISA table definitions (kernels_<isa>.cc). The PUP_HAVE_* macros
 // come from CMake and mean "the compiler can target this ISA, so the
 // backend file is in the build" (the per-file -m flags live on those
-// files only); dispatch.cc wires absent slots to scalar.
+// files only); dispatch.cc wires absent slots to scalar. The vector
+// tables instantiate the width-generic kernels of kernels_vec.h.
 const Backend& ScalarBackend();
 #if defined(PUP_HAVE_AVX2)
 const Backend& Avx2Backend();
 #endif
 #if defined(PUP_HAVE_AVX512)
 const Backend& Avx512Backend();
-#endif
-#if defined(__aarch64__)
-const Backend& NeonBackend();
 #endif
 
 }  // namespace pup::la::simd

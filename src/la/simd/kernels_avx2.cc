@@ -1,309 +1,63 @@
-// AVX2 backend: 8-float lanes. Compiled with -mavx2 -ffp-contract=off
-// (and only this file is), guarded so a build without PUP_HAVE_AVX2
-// simply omits it.
-//
-// Determinism notes (docs/simd.md):
-//  * Never FMA — every product rounds before the add, matching scalar.
-//    (-mfma is deliberately absent and contraction is off, so the
-//    compiler cannot fuse the mul/add intrinsics either.)
-//  * GEMM-family kernels vectorize across output columns with one
-//    accumulator per output element — bitwise-identical to scalar.
-//  * Dot-product kernels keep 8 lane accumulators; tails enter as
-//    zero-padded lanes via maskload, and the final reduction adds lanes
-//    0..7 sequentially. Reproducible at any --threads for this lane
-//    width; not bitwise-equal to other widths.
-//  * Row pointers handed in by kernels.cc are 64-byte aligned whenever
-//    the row is wider than one float (Matrix layout contract), so the
-//    full-lane loops use aligned loads; only tails use maskload, which
-//    tolerates any alignment and never faults on masked-out lanes.
+// AVX2 backend: the width-generic kernels of kernels_vec.h at W = 8,
+// plus the exact-int32 quantized fastscan kernels, which exist only here
+// and which the AVX-512 table points at too. Compiled with -mavx2
+// -ffp-contract=off (only this file), omitted when PUP_HAVE_AVX2 is off.
 #if defined(PUP_HAVE_AVX2)
 
 #include <immintrin.h>
 
-#include <algorithm>
-#include <cmath>
 #include <cstdint>
 
 #include "la/simd/backend.h"
-#include "la/simd/simd_math.h"
+#include "la/simd/kernels_vec.h"
 
 namespace pup::la::simd {
 namespace {
 
-constexpr size_t kW = 8;
-
-// First t entries -1 (load), rest 0 (skip): TailMask(t) reads at offset
-// 8 - t, yielding t live lanes.
+// First t entries -1 (load), rest 0 (skip): the mask for t live lanes
+// starts at offset 8 - t.
 alignas(32) constexpr int32_t kMaskTable[16] = {-1, -1, -1, -1, -1, -1, -1,
                                                -1, 0,  0,  0,  0,  0,  0,
                                                0,  0};
 
-inline __m256i TailMask(size_t t) {
-  return _mm256_loadu_si256(
-      reinterpret_cast<const __m256i*>(kMaskTable + (kW - t)));
+template <>
+VecKernels<8>::F VecKernels<8>::LoadTail(const float* p, size_t t) {
+  return _mm256_maskload_ps(
+      p, _mm256_loadu_si256(
+             reinterpret_cast<const __m256i*>(kMaskTable + (8 - t))));
 }
-
-// Pinned-order lane reduction: lanes 0..7 added sequentially into one
-// scalar — THE accumulation-order contract for this lane width.
-inline float LaneSum(__m256 acc) {
-  alignas(32) float lanes[kW];
-  _mm256_store_ps(lanes, acc);
-  float s = 0.0f;
-  for (size_t l = 0; l < kW; ++l) s += lanes[l];
-  return s;
+template <>
+VecKernels<8>::F VecKernels<8>::RoundNearest(F x) {
+  return _mm256_round_ps(x, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
 }
-
-// Dot product of two rows of logical length k: full aligned lanes, then
-// one zero-padded masked tail, then the pinned lane reduction.
-inline float RowDotOne(const float* x, const float* y, size_t k) {
-  __m256 acc = _mm256_setzero_ps();
-  size_t p = 0;
-  for (; p + kW <= k; p += kW) {
-    acc = _mm256_add_ps(
-        acc, _mm256_mul_ps(_mm256_load_ps(x + p), _mm256_load_ps(y + p)));
-  }
-  const size_t t = k - p;
-  if (t != 0) {
-    const __m256i m = TailMask(t);
-    acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_maskload_ps(x + p, m),
-                                           _mm256_maskload_ps(y + p, m)));
-  }
-  return LaneSum(acc);
+template <>
+VecKernels<8>::F VecKernels<8>::Min(F a, F b) {
+  return _mm256_min_ps(a, b);
 }
-
-// exp(x) for x <= 0 (see simd_math.h). NaN lanes produce garbage that
-// callers overwrite via their NaN-passthrough blend.
-inline __m256 ExpNegPs(__m256 x) {
-  x = _mm256_max_ps(x, _mm256_set1_ps(kExpLowClamp));
-  __m256 fx = _mm256_mul_ps(x, _mm256_set1_ps(kLog2E));
-  fx = _mm256_round_ps(fx, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
-  x = _mm256_sub_ps(x, _mm256_mul_ps(fx, _mm256_set1_ps(kExpC1)));
-  x = _mm256_sub_ps(x, _mm256_mul_ps(fx, _mm256_set1_ps(kExpC2)));
-  const __m256 z = _mm256_mul_ps(x, x);
-  __m256 y = _mm256_set1_ps(kExpP0);
-  y = _mm256_add_ps(_mm256_mul_ps(y, x), _mm256_set1_ps(kExpP1));
-  y = _mm256_add_ps(_mm256_mul_ps(y, x), _mm256_set1_ps(kExpP2));
-  y = _mm256_add_ps(_mm256_mul_ps(y, x), _mm256_set1_ps(kExpP3));
-  y = _mm256_add_ps(_mm256_mul_ps(y, x), _mm256_set1_ps(kExpP4));
-  y = _mm256_add_ps(_mm256_mul_ps(y, x), _mm256_set1_ps(kExpP5));
-  y = _mm256_add_ps(_mm256_add_ps(_mm256_mul_ps(y, z), x),
-                    _mm256_set1_ps(1.0f));
-  __m256i n = _mm256_cvtps_epi32(fx);
-  n = _mm256_slli_epi32(_mm256_add_epi32(n, _mm256_set1_epi32(127)), 23);
-  return _mm256_mul_ps(y, _mm256_castsi256_ps(n));
-}
-
-inline __m256 SigmoidPs(__m256 v) {
-  const __m256 zero = _mm256_setzero_ps();
-  const __m256 one = _mm256_set1_ps(1.0f);
-  const __m256 absv = _mm256_andnot_ps(_mm256_set1_ps(-0.0f), v);
-  const __m256 e = ExpNegPs(_mm256_sub_ps(zero, absv));
-  const __m256 r = _mm256_div_ps(one, _mm256_add_ps(one, e));
-  // v >= 0 ? 1/(1+e) : e/(1+e); NaN inputs propagate unchanged so the
-  // numeric guard sees them, exactly like libm.
-  __m256 out = _mm256_blendv_ps(_mm256_mul_ps(e, r), r,
-                                _mm256_cmp_ps(v, zero, _CMP_GE_OQ));
-  return _mm256_blendv_ps(out, v, _mm256_cmp_ps(v, v, _CMP_UNORD_Q));
-}
-
-inline __m256 TanhPs(__m256 v) {
-  const __m256 x = _mm256_max_ps(
-      _mm256_set1_ps(-kTanhClamp),
-      _mm256_min_ps(_mm256_set1_ps(kTanhClamp), v));
-  const __m256 x2 = _mm256_mul_ps(x, x);
-  __m256 p = _mm256_set1_ps(kTanhAlpha13);
-  p = _mm256_add_ps(_mm256_mul_ps(p, x2), _mm256_set1_ps(kTanhAlpha11));
-  p = _mm256_add_ps(_mm256_mul_ps(p, x2), _mm256_set1_ps(kTanhAlpha9));
-  p = _mm256_add_ps(_mm256_mul_ps(p, x2), _mm256_set1_ps(kTanhAlpha7));
-  p = _mm256_add_ps(_mm256_mul_ps(p, x2), _mm256_set1_ps(kTanhAlpha5));
-  p = _mm256_add_ps(_mm256_mul_ps(p, x2), _mm256_set1_ps(kTanhAlpha3));
-  p = _mm256_add_ps(_mm256_mul_ps(p, x2), _mm256_set1_ps(kTanhAlpha1));
-  p = _mm256_mul_ps(p, x);
-  __m256 q = _mm256_set1_ps(kTanhBeta6);
-  q = _mm256_add_ps(_mm256_mul_ps(q, x2), _mm256_set1_ps(kTanhBeta4));
-  q = _mm256_add_ps(_mm256_mul_ps(q, x2), _mm256_set1_ps(kTanhBeta2));
-  q = _mm256_add_ps(_mm256_mul_ps(q, x2), _mm256_set1_ps(kTanhBeta0));
-  __m256 out = _mm256_div_ps(p, q);
-  // Identity window (tanh(x) == x in float) and NaN passthrough.
-  const __m256 absv = _mm256_andnot_ps(_mm256_set1_ps(-0.0f), v);
-  out = _mm256_blendv_ps(
-      out, v, _mm256_cmp_ps(absv, _mm256_set1_ps(kTanhTiny), _CMP_LT_OQ));
-  return _mm256_blendv_ps(out, v, _mm256_cmp_ps(v, v, _CMP_UNORD_Q));
-}
-
-void GemmRows(const float* a, size_t a_stride, const float* b,
-              size_t b_stride, float* out, size_t out_stride, size_t lo,
-              size_t hi, size_t k, size_t /*n*/, size_t nw) {
-  for (size_t i = lo; i < hi; ++i) {
-    const float* arow = a + i * a_stride;
-    float* orow = out + i * out_stride;
-    size_t j = 0;
-    // Four vectors (32 columns) per block: the broadcast of a(i,p)
-    // amortizes across 32 output columns while each out(i,j) still sums
-    // its products in exact p order (one accumulator per element).
-    for (; j + 4 * kW <= nw; j += 4 * kW) {
-      __m256 acc0 = _mm256_setzero_ps();
-      __m256 acc1 = _mm256_setzero_ps();
-      __m256 acc2 = _mm256_setzero_ps();
-      __m256 acc3 = _mm256_setzero_ps();
-      for (size_t p = 0; p < k; ++p) {
-        const __m256 av = _mm256_set1_ps(arow[p]);
-        const float* bp = b + p * b_stride + j;
-        acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(av, _mm256_load_ps(bp)));
-        acc1 = _mm256_add_ps(acc1, _mm256_mul_ps(av, _mm256_load_ps(bp + kW)));
-        acc2 = _mm256_add_ps(acc2,
-                             _mm256_mul_ps(av, _mm256_load_ps(bp + 2 * kW)));
-        acc3 = _mm256_add_ps(acc3,
-                             _mm256_mul_ps(av, _mm256_load_ps(bp + 3 * kW)));
-      }
-      _mm256_store_ps(orow + j, acc0);
-      _mm256_store_ps(orow + j + kW, acc1);
-      _mm256_store_ps(orow + j + 2 * kW, acc2);
-      _mm256_store_ps(orow + j + 3 * kW, acc3);
-    }
-    for (; j + kW <= nw; j += kW) {
-      __m256 acc = _mm256_setzero_ps();
-      for (size_t p = 0; p < k; ++p) {
-        acc = _mm256_add_ps(
-            acc, _mm256_mul_ps(_mm256_set1_ps(arow[p]),
-                               _mm256_load_ps(b + p * b_stride + j)));
-      }
-      _mm256_store_ps(orow + j, acc);
-    }
-    // nw < kW only for single-column outputs (nw == 1): scalar remainder.
-    for (; j < nw; ++j) {
-      float acc = 0.0f;
-      for (size_t p = 0; p < k; ++p) acc += arow[p] * b[p * b_stride + j];
-      orow[j] = acc;
-    }
-  }
-}
-
-void GemmTransARows(const float* a, size_t a_stride, const float* b,
-                    size_t b_stride, float* out, size_t out_stride, size_t lo,
-                    size_t hi, size_t k, size_t /*n*/, size_t nw) {
-  for (size_t i = lo; i < hi; ++i) {
-    float* orow = out + i * out_stride;
-    size_t j = 0;
-    for (; j + kW <= nw; j += kW) {
-      __m256 acc = _mm256_setzero_ps();
-      for (size_t p = 0; p < k; ++p) {
-        acc = _mm256_add_ps(
-            acc, _mm256_mul_ps(_mm256_set1_ps(a[p * a_stride + i]),
-                               _mm256_load_ps(b + p * b_stride + j)));
-      }
-      _mm256_store_ps(orow + j, acc);
-    }
-    for (; j < nw; ++j) {
-      float acc = 0.0f;
-      for (size_t p = 0; p < k; ++p) {
-        acc += a[p * a_stride + i] * b[p * b_stride + j];
-      }
-      orow[j] = acc;
-    }
-  }
-}
-
-void GemmTransBRows(const float* a, size_t a_stride, const float* b,
-                    size_t b_stride, float* out, size_t out_stride, size_t lo,
-                    size_t hi, size_t k, size_t n) {
-  for (size_t i = lo; i < hi; ++i) {
-    const float* arow = a + i * a_stride;
-    float* orow = out + i * out_stride;
-    for (size_t j = 0; j < n; ++j) {
-      orow[j] = RowDotOne(arow, b + j * b_stride, k);
-    }
-  }
-}
-
-void GemvRows(const float* a, size_t a_stride, const float* x, float* out,
-              size_t lo, size_t hi, size_t k) {
-  for (size_t i = lo; i < hi; ++i) {
-    out[i] = RowDotOne(a + i * a_stride, x, k);
-  }
-}
-
-void RowDot(const float* x, size_t x_stride, const float* y, size_t y_stride,
-            float* out, size_t lo, size_t hi, size_t d) {
-  for (size_t i = lo; i < hi; ++i) {
-    out[i] = RowDotOne(x + i * x_stride, y + i * y_stride, d);
-  }
-}
-
-void RowDotDiff(const float* x, size_t x_stride, const float* a,
-                size_t a_stride, const float* b, size_t b_stride, float* out,
-                size_t lo, size_t hi, size_t d) {
-  for (size_t i = lo; i < hi; ++i) {
-    const float* xr = x + i * x_stride;
-    out[i] = RowDotOne(xr, b + i * b_stride, d) -
-             RowDotOne(xr, a + i * a_stride, d);
-  }
-}
-
-void Axpy(float alpha, const float* x, float* out, size_t lo, size_t hi) {
-  const __m256 av = _mm256_set1_ps(alpha);
-  for (size_t i = lo; i + kW <= hi; i += kW) {
-    _mm256_store_ps(out + i,
-                    _mm256_add_ps(_mm256_load_ps(out + i),
-                                  _mm256_mul_ps(av, _mm256_load_ps(x + i))));
-  }
-}
-
-void Sigmoid(const float* x, float* out, size_t lo, size_t hi) {
-  for (size_t i = lo; i + kW <= hi; i += kW) {
-    _mm256_store_ps(out + i, SigmoidPs(_mm256_load_ps(x + i)));
-  }
-}
-
-void Tanh(const float* x, float* out, size_t lo, size_t hi) {
-  for (size_t i = lo; i + kW <= hi; i += kW) {
-    _mm256_store_ps(out + i, TanhPs(_mm256_load_ps(x + i)));
-  }
-}
-
-size_t FindNonFinite(const float* x, size_t n) {
-  // Same exponent-field trick as the scalar scan, on 8 integer lanes:
-  // (bits & exp_mask) + exp_ulp carries into the sign bit iff the float
-  // is NaN/Inf, so a movemask over an OR-accumulated block gives the
-  // verdict; a dirty block is rescanned element-wise for the index.
-  const __m256i exp_mask = _mm256_set1_epi32(0x7f800000);
-  const __m256i exp_ulp = _mm256_set1_epi32(0x00800000);
-  constexpr size_t kBlock = 8 * kW;
-  size_t i = 0;
-  for (; i + kBlock <= n; i += kBlock) {
-    __m256i acc = _mm256_setzero_si256();
-    for (size_t v = 0; v < kBlock; v += kW) {
-      const __m256i bits = _mm256_load_si256(
-          reinterpret_cast<const __m256i*>(x + i + v));
-      acc = _mm256_or_si256(
-          acc, _mm256_add_epi32(_mm256_and_si256(bits, exp_mask), exp_ulp));
-    }
-    if (_mm256_movemask_ps(_mm256_castsi256_ps(acc)) == 0) continue;
-    for (size_t j = i; j < i + kBlock; ++j) {
-      if (!std::isfinite(x[j])) return j;
-    }
-  }
-  for (; i < n; ++i) {
-    if (!std::isfinite(x[i])) return i;
-  }
-  return n;
+template <>
+VecKernels<8>::F VecKernels<8>::Max(F a, F b) {
+  return _mm256_max_ps(a, b);
 }
 
 // Exact int32 horizontal sum; order is irrelevant because integer
 // addition is associative (the quantized-path determinism argument).
 inline int32_t HSumI32(__m256i v) {
-  alignas(32) int32_t lanes[kW];
+  alignas(32) int32_t lanes[8];
   _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), v);
   int32_t s = 0;
-  for (size_t l = 0; l < kW; ++l) s += lanes[l];
+  for (size_t l = 0; l < 8; ++l) s += lanes[l];
   return s;
 }
 
 // Quantized fastscan: 16 code bytes per step, widened to int16 and
-// multiply-accumulated with vpmaddwd. The widening matters: vpmaddubsw
-// would saturate (255 * 127 * 2 > INT16_MAX) and silently corrupt
-// scores, while the int16 x int16 -> int32 pairwise madd is exact for
-// our operand range (|code * query| <= 255 * 127).
+// multiply-accumulated with the 256-bit vpmaddwd. The widening matters:
+// vpmaddubsw would saturate (255 * 127 * 2 > INT16_MAX) and silently
+// corrupt scores, while the int16 x int16 -> int32 pairwise madd is
+// exact for our operand range (|code * query| <= 255 * 127). These are
+// also the AVX-512 table's kernels: the build targets AVX-512F only (no
+// BW), which has no 512-bit byte/word ops, and the F-level vpmulld
+// formulation is slower (multi-uop, and int32 lanes halve the elements
+// per instruction).
 //
 // The query is row-invariant, so it is widened to int16 ONCE per block
 // into a stack staging buffer (16 code bytes -> 16 int16 -> one aligned
@@ -418,150 +172,11 @@ void QdotI4Rows(const uint8_t* codes, size_t stride, size_t bytes,
   }
 }
 
-// Pinned-16-virtual-lane dot: two 8-float registers act as virtual lanes
-// 0..7 / 8..15, tails enter via zero-masked loads (dead lanes add
-// +0.0f), and the reduction walks all 16 lanes sequentially — bitwise
-// matching the scalar reference on every input.
-void RerankDotRows(const float* items, size_t stride, const float* query,
-                   const uint32_t* ids, float* out, size_t lo, size_t hi,
-                   size_t d) {
-  constexpr size_t kVL = 16;
-  for (size_t j = lo; j < hi; ++j) {
-    const float* row = items + static_cast<size_t>(ids[j]) * stride;
-    __m256 acc0 = _mm256_setzero_ps();
-    __m256 acc1 = _mm256_setzero_ps();
-    size_t p = 0;
-    for (; p + kVL <= d; p += kVL) {
-      // Rows are 64-byte aligned by the Matrix layout; the query is any
-      // caller buffer, so its loads are unaligned.
-      acc0 = _mm256_add_ps(
-          acc0, _mm256_mul_ps(_mm256_load_ps(row + p),
-                              _mm256_loadu_ps(query + p)));
-      acc1 = _mm256_add_ps(
-          acc1, _mm256_mul_ps(_mm256_load_ps(row + p + kW),
-                              _mm256_loadu_ps(query + p + kW)));
-    }
-    const size_t t = d - p;
-    if (t != 0) {
-      const __m256i m0 = TailMask(t < kW ? t : kW);
-      acc0 = _mm256_add_ps(
-          acc0, _mm256_mul_ps(_mm256_maskload_ps(row + p, m0),
-                              _mm256_maskload_ps(query + p, m0)));
-      const __m256i m1 = TailMask(t > kW ? t - kW : 0);
-      acc1 = _mm256_add_ps(
-          acc1, _mm256_mul_ps(_mm256_maskload_ps(row + p + kW, m1),
-                              _mm256_maskload_ps(query + p + kW, m1)));
-    }
-    alignas(32) float lanes[kVL];
-    _mm256_store_ps(lanes, acc0);
-    _mm256_store_ps(lanes + kW, acc1);
-    float s = 0.0f;
-    for (size_t l = 0; l < kVL; ++l) s += lanes[l];
-    out[j] = s;
-  }
-}
-
-// Item-panel block scoring. A 16-item panel is two vectors; each
-// hardware lane is one item's accumulator, seeded with its bias and fed
-// mul-then-add in ascending p — the scalar lane sequence, so bitwise
-// equal to it. A tile of U users x one panel keeps 2U accumulators in
-// registers (U = 4: eight, plus the two panel vectors, within the 16
-// ymm registers) and loads each panel row once per tile.
-template <size_t U>
-inline void PanelTile(const float* panel, size_t d, const float* bias,
-                      const float* const* users, float* out,
-                      size_t out_stride, size_t live) {
-  __m256 acc[U][2];
-  const __m256 b0 = _mm256_load_ps(bias);
-  const __m256 b1 = _mm256_load_ps(bias + kW);
-#pragma GCC unroll 4
-  for (size_t u = 0; u < U; ++u) {
-    acc[u][0] = b0;
-    acc[u][1] = b1;
-  }
-  for (size_t p = 0; p < d; ++p) {
-    const __m256 v0 = _mm256_load_ps(panel + p * 2 * kW);
-    const __m256 v1 = _mm256_load_ps(panel + p * 2 * kW + kW);
-#pragma GCC unroll 4
-    for (size_t u = 0; u < U; ++u) {
-      const __m256 s = _mm256_set1_ps(users[u][p]);
-      acc[u][0] = _mm256_add_ps(acc[u][0], _mm256_mul_ps(s, v0));
-      acc[u][1] = _mm256_add_ps(acc[u][1], _mm256_mul_ps(s, v1));
-    }
-  }
-  if (live >= 2 * kW) {
-#pragma GCC unroll 4
-    for (size_t u = 0; u < U; ++u) {
-      _mm256_storeu_ps(out + u * out_stride, acc[u][0]);
-      _mm256_storeu_ps(out + u * out_stride + kW, acc[u][1]);
-    }
-    return;
-  }
-  const __m256i m0 = TailMask(std::min(live, kW));
-  const __m256i m1 = TailMask(live > kW ? live - kW : 0);
-#pragma GCC unroll 4
-  for (size_t u = 0; u < U; ++u) {
-    _mm256_maskstore_ps(out + u * out_stride, m0, acc[u][0]);
-    _mm256_maskstore_ps(out + u * out_stride + kW, m1, acc[u][1]);
-  }
-}
-
-// Panels outer, users inner (tiles of 4, then one tile of the rest): one
-// panel (4 KiB at d = 64) stays in L1 while every user of the block
-// streams past it.
-void PanelScore(const float* panels, const float* bias, size_t num_panels,
-                size_t d, size_t num_items, const float* const* users,
-                size_t n, float* out, size_t out_stride) {
-  constexpr size_t kP = 2 * kW;
-  for (size_t b = 0; b < num_panels; ++b) {
-    const float* panel = panels + b * d * kP;
-    const float* pbias = bias + b * kP;
-    const size_t live = num_items - b * kP;
-    size_t r = 0;
-    for (; r + 4 <= n; r += 4) {
-      PanelTile<4>(panel, d, pbias, users + r, out + r * out_stride + b * kP,
-                   out_stride, live);
-    }
-    float* rest = out + r * out_stride + b * kP;
-    switch (n - r) {
-      case 3:
-        PanelTile<3>(panel, d, pbias, users + r, rest, out_stride, live);
-        break;
-      case 2:
-        PanelTile<2>(panel, d, pbias, users + r, rest, out_stride, live);
-        break;
-      case 1:
-        PanelTile<1>(panel, d, pbias, users + r, rest, out_stride, live);
-        break;
-      default:
-        break;
-    }
-  }
-}
-
 }  // namespace
 
 const Backend& Avx2Backend() {
-  static const Backend table = {
-      pup::simd::Isa::kAvx2,
-      "avx2",
-      kW,
-      obs::Registry::Global().GetCounter("simd/dispatch/avx2"),
-      &GemmRows,
-      &GemmTransARows,
-      &GemmTransBRows,
-      &GemvRows,
-      &RowDot,
-      &RowDotDiff,
-      &Axpy,
-      &Sigmoid,
-      &Tanh,
-      &FindNonFinite,
-      &QdotI8Rows,
-      &QdotI4Rows,
-      &RerankDotRows,
-      &PanelScore,
-  };
+  static const Backend table =
+      VecBackend<8>(pup::simd::Isa::kAvx2, "avx2", &QdotI8Rows, &QdotI4Rows);
   return table;
 }
 

@@ -1,524 +1,36 @@
-// AVX-512 backend: 16-float lanes. Compiled with -mavx512f
+// AVX-512 backend: the width-generic kernels of kernels_vec.h at
+// W = 16. The quantized fastscan entries are the AVX2 table's 256-bit
+// kernels (AVX2 is implied by -mavx512f). Compiled with -mavx512f
 // -ffp-contract=off (only this file), omitted when PUP_HAVE_AVX512 is
-// off. Mirrors kernels_avx2.cc — see that file and docs/simd.md for the
-// determinism notes; the only structural differences are the lane width,
-// the use of predicate masks (__mmask16) for tails, and an explicit
-// sequential lane reduction (never _mm512_reduce_add_ps, whose tree
-// order is not the pinned lane order 0..15).
+// off.
 #if defined(PUP_HAVE_AVX512)
 
 #include <immintrin.h>
 
-#include <algorithm>
-#include <cmath>
-#include <cstdint>
-
 #include "la/simd/backend.h"
-#include "la/simd/simd_math.h"
+#include "la/simd/kernels_vec.h"
 
 namespace pup::la::simd {
 namespace {
 
-constexpr size_t kW = 16;
-
-// Pinned-order lane reduction: lanes 0..15 added sequentially.
-inline float LaneSum(__m512 acc) {
-  alignas(64) float lanes[kW];
-  _mm512_store_ps(lanes, acc);
-  float s = 0.0f;
-  for (size_t l = 0; l < kW; ++l) s += lanes[l];
-  return s;
+template <>
+VecKernels<16>::F VecKernels<16>::LoadTail(const float* p, size_t t) {
+  return _mm512_maskz_loadu_ps(static_cast<__mmask16>((1u << t) - 1u), p);
 }
-
-inline float RowDotOne(const float* x, const float* y, size_t k) {
-  __m512 acc = _mm512_setzero_ps();
-  size_t p = 0;
-  for (; p + kW <= k; p += kW) {
-    acc = _mm512_add_ps(
-        acc, _mm512_mul_ps(_mm512_load_ps(x + p), _mm512_load_ps(y + p)));
-  }
-  const size_t t = k - p;
-  if (t != 0) {
-    const __mmask16 m = static_cast<__mmask16>((1u << t) - 1u);
-    acc = _mm512_add_ps(acc,
-                        _mm512_mul_ps(_mm512_maskz_loadu_ps(m, x + p),
-                                      _mm512_maskz_loadu_ps(m, y + p)));
-  }
-  return LaneSum(acc);
-}
-
-// exp(x) for x <= 0; identical polynomial and operation order to the
-// AVX2/NEON versions (simd_math.h), so elementwise results match across
-// vector ISAs bitwise.
-inline __m512 ExpNegPs(__m512 x) {
-  x = _mm512_max_ps(x, _mm512_set1_ps(kExpLowClamp));
-  __m512 fx = _mm512_mul_ps(x, _mm512_set1_ps(kLog2E));
-  fx = _mm512_roundscale_ps(fx, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
-  x = _mm512_sub_ps(x, _mm512_mul_ps(fx, _mm512_set1_ps(kExpC1)));
-  x = _mm512_sub_ps(x, _mm512_mul_ps(fx, _mm512_set1_ps(kExpC2)));
-  const __m512 z = _mm512_mul_ps(x, x);
-  __m512 y = _mm512_set1_ps(kExpP0);
-  y = _mm512_add_ps(_mm512_mul_ps(y, x), _mm512_set1_ps(kExpP1));
-  y = _mm512_add_ps(_mm512_mul_ps(y, x), _mm512_set1_ps(kExpP2));
-  y = _mm512_add_ps(_mm512_mul_ps(y, x), _mm512_set1_ps(kExpP3));
-  y = _mm512_add_ps(_mm512_mul_ps(y, x), _mm512_set1_ps(kExpP4));
-  y = _mm512_add_ps(_mm512_mul_ps(y, x), _mm512_set1_ps(kExpP5));
-  y = _mm512_add_ps(_mm512_add_ps(_mm512_mul_ps(y, z), x),
-                    _mm512_set1_ps(1.0f));
-  __m512i n = _mm512_cvtps_epi32(fx);
-  n = _mm512_slli_epi32(_mm512_add_epi32(n, _mm512_set1_epi32(127)), 23);
-  return _mm512_mul_ps(y, _mm512_castsi512_ps(n));
-}
-
-inline __m512 SigmoidPs(__m512 v) {
-  const __m512 zero = _mm512_setzero_ps();
-  const __m512 one = _mm512_set1_ps(1.0f);
-  const __m512 absv = _mm512_abs_ps(v);
-  const __m512 e = ExpNegPs(_mm512_sub_ps(zero, absv));
-  const __m512 r = _mm512_div_ps(one, _mm512_add_ps(one, e));
-  const __mmask16 ge = _mm512_cmp_ps_mask(v, zero, _CMP_GE_OQ);
-  __m512 out = _mm512_mask_blend_ps(ge, _mm512_mul_ps(e, r), r);
-  const __mmask16 nan = _mm512_cmp_ps_mask(v, v, _CMP_UNORD_Q);
-  return _mm512_mask_blend_ps(nan, out, v);
-}
-
-inline __m512 TanhPs(__m512 v) {
-  const __m512 x = _mm512_max_ps(
-      _mm512_set1_ps(-kTanhClamp),
-      _mm512_min_ps(_mm512_set1_ps(kTanhClamp), v));
-  const __m512 x2 = _mm512_mul_ps(x, x);
-  __m512 p = _mm512_set1_ps(kTanhAlpha13);
-  p = _mm512_add_ps(_mm512_mul_ps(p, x2), _mm512_set1_ps(kTanhAlpha11));
-  p = _mm512_add_ps(_mm512_mul_ps(p, x2), _mm512_set1_ps(kTanhAlpha9));
-  p = _mm512_add_ps(_mm512_mul_ps(p, x2), _mm512_set1_ps(kTanhAlpha7));
-  p = _mm512_add_ps(_mm512_mul_ps(p, x2), _mm512_set1_ps(kTanhAlpha5));
-  p = _mm512_add_ps(_mm512_mul_ps(p, x2), _mm512_set1_ps(kTanhAlpha3));
-  p = _mm512_add_ps(_mm512_mul_ps(p, x2), _mm512_set1_ps(kTanhAlpha1));
-  p = _mm512_mul_ps(p, x);
-  __m512 q = _mm512_set1_ps(kTanhBeta6);
-  q = _mm512_add_ps(_mm512_mul_ps(q, x2), _mm512_set1_ps(kTanhBeta4));
-  q = _mm512_add_ps(_mm512_mul_ps(q, x2), _mm512_set1_ps(kTanhBeta2));
-  q = _mm512_add_ps(_mm512_mul_ps(q, x2), _mm512_set1_ps(kTanhBeta0));
-  __m512 out = _mm512_div_ps(p, q);
-  const __m512 absv = _mm512_abs_ps(v);
-  const __mmask16 tiny =
-      _mm512_cmp_ps_mask(absv, _mm512_set1_ps(kTanhTiny), _CMP_LT_OQ);
-  out = _mm512_mask_blend_ps(tiny, out, v);
-  const __mmask16 nan = _mm512_cmp_ps_mask(v, v, _CMP_UNORD_Q);
-  return _mm512_mask_blend_ps(nan, out, v);
-}
-
-void GemmRows(const float* a, size_t a_stride, const float* b,
-              size_t b_stride, float* out, size_t out_stride, size_t lo,
-              size_t hi, size_t k, size_t /*n*/, size_t nw) {
-  for (size_t i = lo; i < hi; ++i) {
-    const float* arow = a + i * a_stride;
-    float* orow = out + i * out_stride;
-    size_t j = 0;
-    for (; j + 2 * kW <= nw; j += 2 * kW) {
-      __m512 acc0 = _mm512_setzero_ps();
-      __m512 acc1 = _mm512_setzero_ps();
-      for (size_t p = 0; p < k; ++p) {
-        const __m512 av = _mm512_set1_ps(arow[p]);
-        const float* bp = b + p * b_stride + j;
-        acc0 = _mm512_add_ps(acc0, _mm512_mul_ps(av, _mm512_load_ps(bp)));
-        acc1 = _mm512_add_ps(acc1, _mm512_mul_ps(av, _mm512_load_ps(bp + kW)));
-      }
-      _mm512_store_ps(orow + j, acc0);
-      _mm512_store_ps(orow + j + kW, acc1);
-    }
-    for (; j + kW <= nw; j += kW) {
-      __m512 acc = _mm512_setzero_ps();
-      for (size_t p = 0; p < k; ++p) {
-        acc = _mm512_add_ps(
-            acc, _mm512_mul_ps(_mm512_set1_ps(arow[p]),
-                               _mm512_load_ps(b + p * b_stride + j)));
-      }
-      _mm512_store_ps(orow + j, acc);
-    }
-    for (; j < nw; ++j) {
-      float acc = 0.0f;
-      for (size_t p = 0; p < k; ++p) acc += arow[p] * b[p * b_stride + j];
-      orow[j] = acc;
-    }
-  }
-}
-
-void GemmTransARows(const float* a, size_t a_stride, const float* b,
-                    size_t b_stride, float* out, size_t out_stride, size_t lo,
-                    size_t hi, size_t k, size_t /*n*/, size_t nw) {
-  for (size_t i = lo; i < hi; ++i) {
-    float* orow = out + i * out_stride;
-    size_t j = 0;
-    for (; j + kW <= nw; j += kW) {
-      __m512 acc = _mm512_setzero_ps();
-      for (size_t p = 0; p < k; ++p) {
-        acc = _mm512_add_ps(
-            acc, _mm512_mul_ps(_mm512_set1_ps(a[p * a_stride + i]),
-                               _mm512_load_ps(b + p * b_stride + j)));
-      }
-      _mm512_store_ps(orow + j, acc);
-    }
-    for (; j < nw; ++j) {
-      float acc = 0.0f;
-      for (size_t p = 0; p < k; ++p) {
-        acc += a[p * a_stride + i] * b[p * b_stride + j];
-      }
-      orow[j] = acc;
-    }
-  }
-}
-
-void GemmTransBRows(const float* a, size_t a_stride, const float* b,
-                    size_t b_stride, float* out, size_t out_stride, size_t lo,
-                    size_t hi, size_t k, size_t n) {
-  for (size_t i = lo; i < hi; ++i) {
-    const float* arow = a + i * a_stride;
-    float* orow = out + i * out_stride;
-    for (size_t j = 0; j < n; ++j) {
-      orow[j] = RowDotOne(arow, b + j * b_stride, k);
-    }
-  }
-}
-
-void GemvRows(const float* a, size_t a_stride, const float* x, float* out,
-              size_t lo, size_t hi, size_t k) {
-  for (size_t i = lo; i < hi; ++i) {
-    out[i] = RowDotOne(a + i * a_stride, x, k);
-  }
-}
-
-void RowDot(const float* x, size_t x_stride, const float* y, size_t y_stride,
-            float* out, size_t lo, size_t hi, size_t d) {
-  for (size_t i = lo; i < hi; ++i) {
-    out[i] = RowDotOne(x + i * x_stride, y + i * y_stride, d);
-  }
-}
-
-void RowDotDiff(const float* x, size_t x_stride, const float* a,
-                size_t a_stride, const float* b, size_t b_stride, float* out,
-                size_t lo, size_t hi, size_t d) {
-  for (size_t i = lo; i < hi; ++i) {
-    const float* xr = x + i * x_stride;
-    out[i] = RowDotOne(xr, b + i * b_stride, d) -
-             RowDotOne(xr, a + i * a_stride, d);
-  }
-}
-
-void Axpy(float alpha, const float* x, float* out, size_t lo, size_t hi) {
-  const __m512 av = _mm512_set1_ps(alpha);
-  for (size_t i = lo; i + kW <= hi; i += kW) {
-    _mm512_store_ps(out + i,
-                    _mm512_add_ps(_mm512_load_ps(out + i),
-                                  _mm512_mul_ps(av, _mm512_load_ps(x + i))));
-  }
-}
-
-void Sigmoid(const float* x, float* out, size_t lo, size_t hi) {
-  for (size_t i = lo; i + kW <= hi; i += kW) {
-    _mm512_store_ps(out + i, SigmoidPs(_mm512_load_ps(x + i)));
-  }
-}
-
-void Tanh(const float* x, float* out, size_t lo, size_t hi) {
-  for (size_t i = lo; i + kW <= hi; i += kW) {
-    _mm512_store_ps(out + i, TanhPs(_mm512_load_ps(x + i)));
-  }
-}
-
-size_t FindNonFinite(const float* x, size_t n) {
-  const __m512i exp_mask = _mm512_set1_epi32(0x7f800000);
-  const __m512i exp_ulp = _mm512_set1_epi32(0x00800000);
-  const __m512i zero = _mm512_setzero_si512();
-  constexpr size_t kBlock = 4 * kW;
-  size_t i = 0;
-  for (; i + kBlock <= n; i += kBlock) {
-    __m512i acc = zero;
-    for (size_t v = 0; v < kBlock; v += kW) {
-      const __m512i bits =
-          _mm512_load_si512(reinterpret_cast<const void*>(x + i + v));
-      acc = _mm512_or_si512(
-          acc, _mm512_add_epi32(_mm512_and_si512(bits, exp_mask), exp_ulp));
-    }
-    // Sign bit set in any lane == some float in the block is non-finite.
-    if (_mm512_cmp_epi32_mask(acc, zero, _MM_CMPINT_LT) == 0) continue;
-    for (size_t j = i; j < i + kBlock; ++j) {
-      if (!std::isfinite(x[j])) return j;
-    }
-  }
-  for (; i < n; ++i) {
-    if (!std::isfinite(x[i])) return i;
-  }
-  return n;
-}
-
-// Quantized fastscan. The build targets AVX-512F only (no BW), so there
-// are no 512-bit byte/word ops; the best integer MAC available is the
-// 256-bit vpmaddwd (AVX2, implied by -mavx512f), which beats the
-// F-level vpmulld formulation (vpmulld is multi-uop on most cores and
-// widening to int32 lanes halves the elements per instruction). The
-// row-invariant query is widened to int16 once per block into a stack
-// staging buffer; rows wider than the cap fall back to widening in the
-// loop. Exact int32 arithmetic — any reorganisation is result-neutral,
-// so _mm512_reduce_add_epi32-style shortcuts and the hoist are both
-// safe here (unlike the f32 reductions above).
-constexpr size_t kQueryStageBytes = 1024;
-
-// Exact int32 horizontal sum; order is irrelevant because integer
-// addition is associative (the quantized-path determinism argument).
-inline int32_t HSumI32x8(__m256i v) {
-  alignas(32) int32_t lanes[8];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), v);
-  int32_t s = 0;
-  for (size_t l = 0; l < 8; ++l) s += lanes[l];
-  return s;
-}
-
-void QdotI8Rows(const uint8_t* codes, size_t stride, size_t bytes,
-                const int8_t* query, int32_t* out, size_t lo, size_t hi) {
-  alignas(32) int16_t wq[kQueryStageBytes];
-  if (bytes <= kQueryStageBytes) {
-    for (size_t b = 0; b < bytes; b += 16) {
-      _mm256_store_si256(
-          reinterpret_cast<__m256i*>(wq + b),
-          _mm256_cvtepi8_epi16(
-              _mm_loadu_si128(reinterpret_cast<const __m128i*>(query + b))));
-    }
-    for (size_t i = lo; i < hi; ++i) {
-      const uint8_t* crow = codes + i * stride;
-      __m256i acc = _mm256_setzero_si256();
-      for (size_t b = 0; b < bytes; b += 16) {
-        const __m128i c =
-            _mm_load_si128(reinterpret_cast<const __m128i*>(crow + b));
-        acc = _mm256_add_epi32(
-            acc,
-            _mm256_madd_epi16(
-                _mm256_cvtepu8_epi16(c),
-                _mm256_load_si256(reinterpret_cast<const __m256i*>(wq + b))));
-      }
-      out[i] = HSumI32x8(acc);
-    }
-    return;
-  }
-  for (size_t i = lo; i < hi; ++i) {
-    const uint8_t* crow = codes + i * stride;
-    __m256i acc = _mm256_setzero_si256();
-    for (size_t b = 0; b < bytes; b += 16) {
-      const __m128i c =
-          _mm_load_si128(reinterpret_cast<const __m128i*>(crow + b));
-      const __m128i q =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(query + b));
-      acc = _mm256_add_epi32(
-          acc, _mm256_madd_epi16(_mm256_cvtepu8_epi16(c),
-                                 _mm256_cvtepi8_epi16(q)));
-    }
-    out[i] = HSumI32x8(acc);
-  }
-}
-
-void QdotI4Rows(const uint8_t* codes, size_t stride, size_t bytes,
-                const int8_t* query_even, const int8_t* query_odd,
-                int32_t* out, size_t lo, size_t hi) {
-  const __m128i low_mask = _mm_set1_epi8(0x0f);
-  alignas(32) int16_t we[kQueryStageBytes];
-  alignas(32) int16_t wo[kQueryStageBytes];
-  if (bytes <= kQueryStageBytes) {
-    for (size_t b = 0; b < bytes; b += 16) {
-      _mm256_store_si256(
-          reinterpret_cast<__m256i*>(we + b),
-          _mm256_cvtepi8_epi16(_mm_loadu_si128(
-              reinterpret_cast<const __m128i*>(query_even + b))));
-      _mm256_store_si256(
-          reinterpret_cast<__m256i*>(wo + b),
-          _mm256_cvtepi8_epi16(_mm_loadu_si128(
-              reinterpret_cast<const __m128i*>(query_odd + b))));
-    }
-    for (size_t i = lo; i < hi; ++i) {
-      const uint8_t* crow = codes + i * stride;
-      __m256i acc = _mm256_setzero_si256();
-      for (size_t b = 0; b < bytes; b += 16) {
-        const __m128i packed =
-            _mm_load_si128(reinterpret_cast<const __m128i*>(crow + b));
-        const __m128i clo = _mm_and_si128(packed, low_mask);
-        const __m128i chi =
-            _mm_and_si128(_mm_srli_epi16(packed, 4), low_mask);
-        acc = _mm256_add_epi32(
-            acc,
-            _mm256_madd_epi16(
-                _mm256_cvtepu8_epi16(clo),
-                _mm256_load_si256(reinterpret_cast<const __m256i*>(we + b))));
-        acc = _mm256_add_epi32(
-            acc,
-            _mm256_madd_epi16(
-                _mm256_cvtepu8_epi16(chi),
-                _mm256_load_si256(reinterpret_cast<const __m256i*>(wo + b))));
-      }
-      out[i] = HSumI32x8(acc);
-    }
-    return;
-  }
-  for (size_t i = lo; i < hi; ++i) {
-    const uint8_t* crow = codes + i * stride;
-    __m256i acc = _mm256_setzero_si256();
-    for (size_t b = 0; b < bytes; b += 16) {
-      const __m128i packed =
-          _mm_load_si128(reinterpret_cast<const __m128i*>(crow + b));
-      const __m128i clo = _mm_and_si128(packed, low_mask);
-      const __m128i chi = _mm_and_si128(_mm_srli_epi16(packed, 4), low_mask);
-      const __m128i qe =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(query_even + b));
-      const __m128i qo =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(query_odd + b));
-      acc = _mm256_add_epi32(
-          acc, _mm256_madd_epi16(_mm256_cvtepu8_epi16(clo),
-                                 _mm256_cvtepi8_epi16(qe)));
-      acc = _mm256_add_epi32(
-          acc, _mm256_madd_epi16(_mm256_cvtepu8_epi16(chi),
-                                 _mm256_cvtepi8_epi16(qo)));
-    }
-    out[i] = HSumI32x8(acc);
-  }
-}
-
-// Pinned-16-virtual-lane dot: here the virtual lanes ARE the hardware
-// lanes. The tail enters through a zero-masked load (dead lanes add
-// +0.0f) and the reduction is the sequential LaneSum, never
-// _mm512_reduce_add_ps — bitwise matching the scalar reference.
-void RerankDotRows(const float* items, size_t stride, const float* query,
-                   const uint32_t* ids, float* out, size_t lo, size_t hi,
-                   size_t d) {
-  for (size_t j = lo; j < hi; ++j) {
-    const float* row = items + static_cast<size_t>(ids[j]) * stride;
-    __m512 acc = _mm512_setzero_ps();
-    size_t p = 0;
-    for (; p + kW <= d; p += kW) {
-      // Rows are 64-byte aligned by the Matrix layout; the query is any
-      // caller buffer, so its loads are unaligned.
-      acc = _mm512_add_ps(
-          acc,
-          _mm512_mul_ps(_mm512_load_ps(row + p), _mm512_loadu_ps(query + p)));
-    }
-    const size_t t = d - p;
-    if (t != 0) {
-      const __mmask16 m = static_cast<__mmask16>((1u << t) - 1u);
-      acc = _mm512_add_ps(acc,
-                          _mm512_mul_ps(_mm512_maskz_loadu_ps(m, row + p),
-                                        _mm512_maskz_loadu_ps(m, query + p)));
-    }
-    out[j] = LaneSum(acc);
-  }
-}
-
-// Item-panel block scoring. One panel is one vector: each hardware lane
-// is one item's accumulator, seeded with its bias and fed mul-then-add
-// in ascending p — the scalar lane sequence, so bitwise equal to it.
-// A tile of U users x P panels keeps U * P independent accumulators in
-// registers (4 x 2 = 8 hides the add latency without FMA) and loads each
-// panel row once per tile.
-template <size_t U, size_t P>
-inline void PanelTile(const float* panel, size_t d, const float* bias,
-                      const float* const* users, float* out,
-                      size_t out_stride, size_t live) {
-  __m512 acc[U][P];
-#pragma GCC unroll 2
-  for (size_t q = 0; q < P; ++q) {
-    const __m512 b = _mm512_load_ps(bias + q * kW);
-#pragma GCC unroll 4
-    for (size_t u = 0; u < U; ++u) acc[u][q] = b;
-  }
-  const size_t panel_floats = d * kW;
-  for (size_t p = 0; p < d; ++p) {
-    __m512 v[P];
-#pragma GCC unroll 2
-    for (size_t q = 0; q < P; ++q) {
-      v[q] = _mm512_load_ps(panel + q * panel_floats + p * kW);
-    }
-#pragma GCC unroll 4
-    for (size_t u = 0; u < U; ++u) {
-      const __m512 s = _mm512_set1_ps(users[u][p]);
-#pragma GCC unroll 2
-      for (size_t q = 0; q < P; ++q) {
-        acc[u][q] = _mm512_add_ps(acc[u][q], _mm512_mul_ps(s, v[q]));
-      }
-    }
-  }
-#pragma GCC unroll 2
-  for (size_t q = 0; q < P; ++q) {
-    if (live <= q * kW) break;
-    const size_t lanes = std::min(kW, live - q * kW);
-    const __mmask16 m = static_cast<__mmask16>((1u << lanes) - 1u);
-#pragma GCC unroll 4
-    for (size_t u = 0; u < U; ++u) {
-      _mm512_mask_storeu_ps(out + u * out_stride + q * kW, m, acc[u][q]);
-    }
-  }
-}
-
-// Users of one panel group in tiles of 4, then one tile of the rest.
-template <size_t P>
-inline void PanelUsers(const float* panel, size_t d, const float* bias,
-                       const float* const* users, size_t n, float* out,
-                       size_t out_stride, size_t live) {
-  size_t r = 0;
-  for (; r + 4 <= n; r += 4) {
-    PanelTile<4, P>(panel, d, bias, users + r, out + r * out_stride,
-                    out_stride, live);
-  }
-  float* rest = out + r * out_stride;
-  switch (n - r) {
-    case 3:
-      PanelTile<3, P>(panel, d, bias, users + r, rest, out_stride, live);
-      break;
-    case 2:
-      PanelTile<2, P>(panel, d, bias, users + r, rest, out_stride, live);
-      break;
-    case 1:
-      PanelTile<1, P>(panel, d, bias, users + r, rest, out_stride, live);
-      break;
-    default:
-      break;
-  }
-}
-
-// Panels outer, users inner: a pair of panels (8 KiB at d = 64) stays in
-// L1 while every user of the block streams past it.
-void PanelScore(const float* panels, const float* bias, size_t num_panels,
-                size_t d, size_t num_items, const float* const* users,
-                size_t n, float* out, size_t out_stride) {
-  size_t b = 0;
-  for (; b + 2 <= num_panels; b += 2) {
-    PanelUsers<2>(panels + b * d * kW, d, bias + b * kW, users, n,
-                  out + b * kW, out_stride, num_items - b * kW);
-  }
-  if (b < num_panels) {
-    PanelUsers<1>(panels + b * d * kW, d, bias + b * kW, users, n,
-                  out + b * kW, out_stride, num_items - b * kW);
-  }
+// The all-lanes mask form: the unmasked intrinsic's undefined
+// passthrough operand trips a false -Wmaybe-uninitialized in GCC 12.
+template <>
+VecKernels<16>::F VecKernels<16>::RoundNearest(F x) {
+  return _mm512_mask_roundscale_ps(
+      x, 0xffff, x, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
 }
 
 }  // namespace
 
 const Backend& Avx512Backend() {
-  static const Backend table = {
-      pup::simd::Isa::kAvx512,
-      "avx512",
-      kW,
-      obs::Registry::Global().GetCounter("simd/dispatch/avx512"),
-      &GemmRows,
-      &GemmTransARows,
-      &GemmTransBRows,
-      &GemvRows,
-      &RowDot,
-      &RowDotDiff,
-      &Axpy,
-      &Sigmoid,
-      &Tanh,
-      &FindNonFinite,
-      &QdotI8Rows,
-      &QdotI4Rows,
-      &RerankDotRows,
-      &PanelScore,
-  };
+  static const Backend table = VecBackend<16>(
+      pup::simd::Isa::kAvx512, "avx512", Avx2Backend().qdot_i8_rows,
+      Avx2Backend().qdot_i4_rows);
   return table;
 }
 

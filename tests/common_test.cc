@@ -409,5 +409,28 @@ TEST(FlagsTest, NumericValuesParseWholeOrAreReported) {
                                       "--i=nan", "--j=1e999", "--k= 4"}));
 }
 
+// The free parsers behind GetInt/GetDouble, shared with pup_cli's
+// --cutoffs list and the bench harness's PUP_BENCH_* variables.
+TEST(FlagsTest, ParseHelpersApplyTheGetterRules) {
+  int64_t i = 7;
+  EXPECT_TRUE(ParseInt64("-5", &i));
+  EXPECT_EQ(i, -5);
+  for (const char* bad :
+       {"", "7x", "abc", " 4", "1e3", "99999999999999999999"}) {
+    EXPECT_FALSE(ParseInt64(bad, &i)) << bad;
+  }
+  double d = 0.0;
+  EXPECT_TRUE(ParseFiniteDouble("1e3", &d));
+  EXPECT_DOUBLE_EQ(d, 1000.0);
+  for (const char* bad : {"", "1.5.2", "nan", "inf", "1e999", "0.5 "}) {
+    EXPECT_FALSE(ParseFiniteDouble(bad, &d)) << bad;
+  }
+
+  Flags f = ParseArgs({"--threads=xyz", "--epochs=3"});
+  f.GetInt("threads", 0);
+  f.GetInt("epochs", 1);
+  EXPECT_EQ(ReportMalformedFlags(f), 1u);
+}
+
 }  // namespace
 }  // namespace pup

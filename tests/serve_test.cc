@@ -293,8 +293,8 @@ TEST(ServeParityTest, ServedTopKMatchesOfflineEvalBitwise) {
   };
   const Config configs[] = {{1, 0}, {1, 128}, {4, 0}, {4, 128}};
 
-  for (simd::Isa isa : {simd::Isa::kOff, simd::Isa::kNeon, simd::Isa::kAvx2,
-                        simd::Isa::kAvx512}) {
+  for (simd::Isa isa :
+       {simd::Isa::kOff, simd::Isa::kAvx2, simd::Isa::kAvx512}) {
     if (!simd::IsaSupported(isa)) continue;
     simd::SetActiveIsa(isa);
     // Per-backend reference: lane-reduced kernels are bitwise-stable

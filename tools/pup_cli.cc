@@ -88,7 +88,7 @@ int Usage() {
                "[--quant off|int8|int4] [--rerank R]\n"
                "       global: --threads N (default: hardware concurrency; "
                "1 = exact serial)\n"
-               "               --simd=auto|off|neon|avx2|avx512 kernel "
+               "               --simd=auto|off|avx2|avx512 kernel "
                "backend (default: auto; off = scalar golden path)\n"
                "               --check-numerics[=0|1] NaN/Inf tape scan "
                "each step (default: on in Debug)\n"
@@ -114,14 +114,10 @@ int Usage() {
 // subcommand has been queried.
 int RejectBadFlags(const Flags& flags) {
   const std::vector<std::string> unused = flags.UnusedFlags();
-  const std::vector<std::string> malformed = flags.MalformedFlags();
-  if (unused.empty() && malformed.empty()) return 0;
   for (const std::string& flag : unused) {
     std::fprintf(stderr, "unknown flag --%s\n", flag.c_str());
   }
-  for (const std::string& flag : malformed) {
-    std::fprintf(stderr, "malformed number %s\n", flag.c_str());
-  }
+  if (ReportMalformedFlags(flags) == 0 && unused.empty()) return 0;
   return Usage();
 }
 
@@ -250,15 +246,25 @@ std::unique_ptr<models::Recommender> MakeModel(const std::string& name,
   return nullptr;
 }
 
-std::vector<int> ParseCutoffs(const std::string& spec) {
-  std::vector<int> cutoffs;
+// Parses --cutoffs: a comma-separated list of integers in [1, INT_MAX].
+// False (after saying why) on an empty list or any malformed entry.
+bool ParseCutoffs(const std::string& spec, std::vector<int>* cutoffs) {
   std::istringstream in(spec);
   std::string tok;
   while (std::getline(in, tok, ',')) {
-    int v = std::atoi(tok.c_str());
-    if (v > 0) cutoffs.push_back(v);
+    int64_t v = 0;
+    if (!ParseInt64(tok, &v) || v < 1 || v > std::numeric_limits<int>::max()) {
+      cutoffs->clear();
+      break;
+    }
+    cutoffs->push_back(static_cast<int>(v));
   }
-  return cutoffs.empty() ? std::vector<int>{50, 100} : cutoffs;
+  if (!cutoffs->empty()) return true;
+  std::fprintf(stderr,
+               "--cutoffs must be a comma-separated list of positive "
+               "integers, got '%s'\n",
+               spec.c_str());
+  return false;
 }
 
 int RunTrain(const Flags& flags) {
@@ -287,7 +293,10 @@ int RunTrain(const Flags& flags) {
     std::fprintf(stderr, "unknown model '%s'\n", model_name.c_str());
     return 2;
   }
-  auto cutoffs = ParseCutoffs(flags.GetString("cutoffs", "50,100"));
+  std::vector<int> cutoffs;
+  if (!ParseCutoffs(flags.GetString("cutoffs", "50,100"), &cutoffs)) {
+    return Usage();
+  }
   double beta = flags.GetDouble("beta", 0.0);
   std::string export_index = flags.GetString("export-index", "");
   std::string quant_name = flags.GetString("quant", "off");
